@@ -7,7 +7,6 @@ an L1 sparsity penalty optimized by LQA Newton-Raphson.
 from .basis import BSplineBasis, eval_basis, eval_basis_many, gram_block, make_basis
 from .design import (DesignMatrices, FunctionalDataset, build_design,
                      compute_U, compute_V, compute_W_blocks)
-from .kernels import BACKEND
 from .metrics import MetricsReport, classification_metrics, ise, pmse
 from .model import (SflrModel, beta_hat, classify, null_regions,
                     predict_proba)
@@ -22,7 +21,7 @@ from .simulate import (ScenarioSpec, beta_one_null, beta_three_null,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND", "BSplineBasis", "DesignMatrices", "FitResult",
+    "BSplineBasis", "DesignMatrices", "FitResult",
     "FunctionalDataset", "MetricsReport", "ScenarioSpec", "SflrModel",
     "SolverConfig", "TuningGrid", "TuningResult", "beta_hat",
     "beta_one_null", "beta_spectra", "beta_three_null", "build_design",

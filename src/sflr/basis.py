@@ -5,8 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import eval_basis_matrix
-
 
 @dataclass(frozen=True)
 class BSplineBasis:
@@ -55,6 +53,40 @@ def make_basis(domain_end: float, degree: int, interval_count: int) -> BSplineBa
     return BSplineBasis(float(domain_end), int(degree), int(interval_count), knots)
 
 
+def _de_boor(knots: np.ndarray, degree: int, points: np.ndarray,
+             deriv: int) -> np.ndarray:
+    """Local de Boor evaluation of a clamped basis: (len(points), L) matrix.
+
+    On a point's span s (knots[s] <= t < knots[s+1], the last nonempty
+    span closed so the right endpoint takes its left limit) only the d+1
+    functions s-d..s are nonzero. The Cox-de Boor recurrence runs level by
+    level on those live columns; the last ``deriv`` levels use the
+    derivative recurrence. Column r of level k divides by
+    knots[s+1+r] - knots[s-k+1+r], a knot pair around [knots[s], knots[s+1]],
+    so no denominator is zero.
+    """
+    d = degree
+    span = np.minimum(np.searchsorted(knots, points, side="right") - 1,
+                      knots.size - d - 2)[:, None]
+    live = np.ones((points.size, 1))
+    for k in range(1, d + 1):
+        r = np.arange(k)
+        lo, hi = knots[span - k + 1 + r], knots[span + 1 + r]
+        den = hi - lo
+        new = np.zeros((points.size, k + 1))
+        if k <= d - deriv:
+            new[:, :k] = (hi - points[:, None]) / den * live
+            new[:, 1:] += (points[:, None] - lo) / den * live
+        else:
+            slope = k / den * live
+            new[:, 1:] = slope
+            new[:, :k] -= slope
+        live = new
+    out = np.zeros((points.size, knots.size - d - 1))
+    np.put_along_axis(out, span - d + np.arange(d + 1), live, axis=1)
+    return out
+
+
 def eval_basis_many(basis: BSplineBasis, points, derivative_order: int = 0) -> np.ndarray:
     """Evaluate every basis function (or derivative) at an array of points.
 
@@ -67,7 +99,7 @@ def eval_basis_many(basis: BSplineBasis, points, derivative_order: int = 0) -> n
     if not 0 <= derivative_order <= basis.degree:
         raise ValueError(f"derivative order {derivative_order} outside "
                          f"[0, {basis.degree}]")
-    return eval_basis_matrix(basis.knot_vector, basis.degree, pts, derivative_order)
+    return _de_boor(basis.knot_vector, basis.degree, pts, derivative_order)
 
 
 def eval_basis(basis: BSplineBasis, t: float, derivative_order: int = 0) -> np.ndarray:

@@ -18,7 +18,8 @@ from .dataio import DataError, read_dataset, write_dataset
 from .design import FunctionalDataset, build_design
 from .metrics import MetricsReport, classification_metrics, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
-from .simulate import (ScenarioSpec, generate_predictors, generate_responses,
+from .simulate import (ScenarioSpec, _add_observation_noise,
+                       generate_predictors, generate_responses,
                        interval_count_rule, true_beta)
 from .solver import SolverConfig, fit
 from .tuning import TuningGrid, score_table_csv, tune
@@ -216,8 +217,7 @@ def _cmd_simulate(args) -> int:
         y, _ = generate_responses(clean, beta, alpha, rng)
         values = clean.values
         if spec.snr is not None:
-            noise_sd = float(values.std()) / np.sqrt(spec.snr)
-            values = values + rng.normal(0.0, noise_sd, size=values.shape)
+            values = _add_observation_noise(values, spec.snr, rng)
         labeled = FunctionalDataset(clean.grid, values, y)
         write_dataset(f"{args.out_prefix}_{name}.csv", labeled, comment)
 

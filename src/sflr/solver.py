@@ -12,8 +12,8 @@ this iteration descends is therefore
 
     -loglik + (gamma/2) * b'Vb + (lambda/2) * integral |beta|,
 
-which is what step-halving monitors (``objective_trace``). The reported
-``final_objective`` uses the nominal full weights gamma and lambda.
+which is what step-halving monitors (``objective_trace``) and what
+``final_objective`` reports at the thresholded coefficients.
 """
 from __future__ import annotations
 
@@ -185,14 +185,17 @@ class _ExactObjective:
                 + 0.5 * self.lam * self.l1(b))
 
 
-def _descend(theta, U_aug, y, V_star_aug, W_star_aug, objective, config,
+def _descend(theta, U_aug, y, V_star_aug, penalty, objective, config,
              trace=None):
-    """Newton iterations with step-halving; returns (theta, converged, iters)."""
+    """Newton iterations with step-halving; returns (theta, converged, iters).
+
+    ``penalty(theta)`` gives the intercept-augmented W~* of each step.
+    """
     obj = objective(theta)
     if trace is not None:
         trace.append(obj)
     for it in range(1, config.max_iterations + 1):
-        proposal = newton_step(theta, U_aug, y, V_star_aug, W_star_aug,
+        proposal = newton_step(theta, U_aug, y, V_star_aug, penalty(theta),
                                config.prob_clamp_delta)
         step = proposal - theta
         scale, accepted = 1.0, False
@@ -232,7 +235,8 @@ def fit_initial(U: np.ndarray, y: np.ndarray, V_star: np.ndarray,
         return -ll + 0.5 * theta @ V_star @ theta
 
     theta0 = np.zeros(U_aug.shape[1])
-    return _descend(theta0, U_aug, y, V_star, zero_W, objective, config)
+    return _descend(theta0, U_aug, y, V_star, lambda theta: zero_W,
+                    objective, config)
 
 
 def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
@@ -260,34 +264,13 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
                                 config.prob_clamp_delta)
     trace: list[float] = []
     if config.lam > 0.0:
-        converged = False
-        obj = objective(theta)
-        trace.append(obj)
-        iters = 0
-        for it in range(1, config.max_iterations + 1):
-            iters = it
-            Wt_aug = _pad_penalty(lqa_weight_matrix(
+        def lqa_penalty(theta):
+            return _pad_penalty(lqa_weight_matrix(
                 theta[1:], W_blocks, config.lam, T, M, config.norm_floor))
-            proposal = newton_step(theta, U_aug, y, V_star_aug, Wt_aug,
-                                   config.prob_clamp_delta)
-            step = proposal - theta
-            scale, accepted = 1.0, False
-            for _ in range(config.step_halving_max + 1):
-                cand = theta + scale * step
-                obj_c = objective(cand)
-                if obj_c <= obj + _DESCENT_SLACK:
-                    accepted = True
-                    break
-                scale *= 0.5
-            if not accepted:
-                converged = True
-                break
-            rel = _relative_step(cand, theta)
-            theta, obj = cand, obj_c
-            trace.append(obj)
-            if rel < config.tolerance:
-                converged = True
-                break
+
+        theta, converged, iters = _descend(theta, U_aug, y, V_star_aug,
+                                           lqa_penalty, objective, config,
+                                           trace)
     else:
         # no sparsity penalty: the initialization already solved the problem
         converged, iters = conv0, it0
@@ -327,10 +310,8 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
         df = float(np.trace(np.linalg.lstsq(H, UDU, rcond=None)[0]))
 
     ll = log_likelihood(b, alpha, U, y, config.prob_clamp_delta)
-    final_objective = (-ll + config.gamma * (b @ V @ b)
-                       + config.lam * objective.l1(b))
     return FitResult(b=b, alpha=alpha, null_mask=null_mask,
-                     iterations=iters,
-                     converged=converged, final_objective=final_objective,
+                     iterations=iters, converged=converged,
+                     final_objective=objective(theta_final),
                      loglik=ll, df=df, lam=config.lam, gamma=config.gamma,
                      objective_trace=trace)

@@ -44,6 +44,20 @@ def test_simulate_seed_determinism(sim_files, tmp_path):
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
+def test_simulate_snr_adds_noise_to_clean_curves(sim_files, tmp_path):
+    _, prefix = sim_files
+    noisy_prefix = str(tmp_path / "noisy")
+    assert _run(["simulate", "--scenario", "one-null", "--n-train", "150",
+                 "--n-test", "100", "--seed", "9", "--snr", "1",
+                 "--out-prefix", noisy_prefix]) == 0
+    clean = read_dataset(prefix + "_train.csv")
+    noisy = read_dataset(noisy_prefix + "_train.csv")
+    # labels come from the clean curves, drawn before the noise
+    np.testing.assert_array_equal(noisy.labels, clean.labels)
+    noise_sd = (noisy.values - clean.values).std()
+    assert noise_sd == pytest.approx(clean.values.std(), rel=0.05)
+
+
 @pytest.fixture(scope="module")
 def fitted(sim_files, tmp_path_factory):
     root, prefix = sim_files

@@ -1,33 +1,39 @@
-"""Backend parity and correctness of the raw basis-evaluation kernel."""
+"""The local de Boor kernel behind eval_basis_many against scipy's BSpline."""
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from sflr import kernels
-from sflr._pyboor import eval_basis_matrix as py_eval
+from sflr.basis import eval_basis_many, make_basis
 
 
-def _clamped_knots(degree, intervals, T=1.0):
-    breaks = np.linspace(0.0, T, intervals + 1)
-    return np.concatenate([np.zeros(degree), breaks, np.full(degree, T)])
-
-
-def _scipy_design(knots, degree, points, deriv):
-    L = knots.size - degree - 1
-    out = np.zeros((points.size, L))
-    for l in range(L):
-        coef = np.zeros(L)
+def _scipy_design(basis, points, deriv):
+    knots, degree = basis.knot_vector, basis.degree
+    out = np.zeros((points.size, basis.basis_count))
+    for l in range(basis.basis_count):
+        coef = np.zeros(basis.basis_count)
         coef[l] = 1.0
-        spl = BSpline(knots, coef, degree, extrapolate=False)
+        # extrapolate=True evaluates the right endpoint on the last piece,
+        # i.e. its left limit, the value the clamped basis takes there
+        spl = BSpline(knots, coef, degree, extrapolate=True)
         if deriv:
             spl = spl.derivative(deriv)
-        vals = spl(points)
-        # scipy returns nan at the right endpoint for extrapolate=False
-        at_end = points == knots[-1]
-        if at_end.any():
-            vals[at_end] = spl(knots[-1] - 1e-12)
-        out[:, l] = np.nan_to_num(vals)
+        out[:, l] = spl(points)
     return out
+
+
+def _points(basis, n_uniform=257):
+    """A uniform grid plus every breakpoint, both endpoints included."""
+    return np.sort(np.concatenate([
+        np.linspace(basis.domain_start, basis.domain_end, n_uniform),
+        basis.breakpoints]))
+
+
+def _assert_matches_scipy(basis, deriv):
+    pts = _points(basis)
+    ours = eval_basis_many(basis, pts, deriv)
+    ref = _scipy_design(basis, pts, deriv)
+    scale = max(1.0, np.abs(ref).max())
+    assert np.max(np.abs(ours - ref)) / scale < 1e-10
 
 
 @pytest.mark.parametrize("degree,intervals", [(1, 4), (2, 5), (3, 8), (4, 6)])
@@ -35,36 +41,21 @@ def _scipy_design(knots, degree, points, deriv):
 def test_matches_scipy(degree, intervals, deriv):
     if deriv > degree:
         pytest.skip("derivative order exceeds degree")
-    knots = _clamped_knots(degree, intervals)
-    pts = np.linspace(0.0, 1.0, 257)
-    ours = py_eval(knots, degree, pts, deriv)
-    ref = _scipy_design(knots, degree, pts, deriv)
-    scale = max(1.0, np.abs(ref).max())
-    assert np.max(np.abs(ours - ref)) / scale < 1e-10
+    _assert_matches_scipy(make_basis(1.0, degree, intervals), deriv)
+
+
+@pytest.mark.parametrize("degree,intervals,domain_end",
+                         [(1, 1, 1.0), (2, 1, 2.5), (5, 3, 1.0),
+                          (5, 37, 1.0), (3, 100, 3.7)])
+def test_matches_scipy_every_derivative(degree, intervals, domain_end):
+    basis = make_basis(domain_end, degree, intervals)
+    for deriv in range(degree + 1):
+        _assert_matches_scipy(basis, deriv)
 
 
 def test_interior_points_partition_of_unity():
-    knots = _clamped_knots(3, 30)
+    basis = make_basis(1.0, 3, 30)
     rng = np.random.default_rng(7)
-    pts = rng.uniform(0.0, 1.0, 500)
-    E = py_eval(knots, 3, pts, 0)
+    pts = np.concatenate([rng.uniform(0.0, 1.0, 500), basis.breakpoints])
+    E = eval_basis_many(basis, pts)
     assert np.max(np.abs(E.sum(axis=1) - 1.0)) < 1e-12
-
-
-def test_backend_selection_reports_name():
-    assert kernels.BACKEND in ("cython", "python")
-
-
-@pytest.mark.skipif(kernels.BACKEND != "cython",
-                    reason="compiled backend not available")
-@pytest.mark.parametrize("degree,intervals,deriv",
-                         [(3, 30, 0), (3, 30, 2), (4, 70, 0), (2, 9, 1)])
-def test_compiled_and_python_backends_agree(degree, intervals, deriv):
-    from sflr._cyboor import eval_basis_matrix as cy_eval
-    knots = _clamped_knots(degree, intervals)
-    rng = np.random.default_rng(degree * 100 + deriv)
-    pts = np.sort(np.concatenate([rng.uniform(0, 1, 300), [0.0, 1.0]]))
-    a = py_eval(knots, degree, pts, deriv)
-    b = cy_eval(knots, degree, pts, deriv)
-    np.testing.assert_array_equal(a.shape, b.shape)
-    assert np.max(np.abs(a - b)) < 1e-13

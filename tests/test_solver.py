@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 
 from sflr.basis import make_basis
 from sflr.design import FunctionalDataset, build_design
+from sflr.model import SflrModel, beta_hat
 from sflr.solver import (FitResult, SolverConfig, clamped_probs, fit,
                          fit_initial, interval_norms, log_likelihood,
                          lqa_weight_matrix, newton_step)
@@ -232,6 +233,25 @@ class TestFit:
         trace = np.asarray(res.objective_trace)
         assert trace.size >= 2
         assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_final_objective_is_the_minimised_objective(self):
+        # -loglik + (gamma/2) b'Vb + (lambda/2) int |beta_hat|, rebuilt from
+        # the clamped likelihood and a fine trapezoid rule on beta_hat; the
+        # solver's 20-node Gauss-Legendre rule misses the kink of |beta_hat|
+        # where beta_hat changes sign by ~3e-5 of the integral here
+        basis, design, y = _toy_problem(seed=2, n=150, M=8)
+        cfg = SolverConfig(lam=2.0, gamma=1e-4)
+        res = fit(design.U, y, basis, design, cfg)
+        assert np.any(res.b != 0.0)
+        p = np.clip(_sigmoid(res.alpha + design.U @ res.b),
+                    cfg.prob_clamp_delta, 1.0 - cfg.prob_clamp_delta)
+        loglik = np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+        ts = np.linspace(0.0, basis.domain_end, 200001)
+        model = SflrModel(basis=basis, fit=res, training_grid=ts)
+        l1 = np.trapezoid(np.abs(beta_hat(model, ts)), ts)
+        ref = (-loglik + 0.5 * cfg.gamma * (res.b @ design.V @ res.b)
+               + 0.5 * cfg.lam * l1)
+        assert res.final_objective == pytest.approx(ref, rel=1e-6)
 
     def test_null_mask_consistency(self):
         # flagged subintervals carry exactly-zero coefficients throughout
