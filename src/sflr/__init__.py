@@ -5,8 +5,8 @@ subregions, via a B-spline penalized likelihood with a roughness penalty and
 an L1 sparsity penalty optimized by LQA Newton-Raphson.
 """
 from .basis import BSplineBasis, eval_basis, eval_basis_many, gram_block, make_basis
-from .design import (DesignMatrices, FunctionalDataset, build_design,
-                     compute_U, compute_V, compute_W_blocks)
+from .design import (DesignMatrices, FunctionalDataset, assemble_blocks,
+                     build_design, compute_U, compute_V)
 from .metrics import MetricsReport, classification_metrics, ise, pmse
 from .model import (SflrModel, beta_hat, classify, null_regions,
                     predict_proba)
@@ -23,10 +23,11 @@ __version__ = "0.1.0"
 __all__ = [
     "BSplineBasis", "DesignMatrices", "FitResult",
     "FunctionalDataset", "MetricsReport", "ScenarioSpec", "SflrModel",
-    "SolverConfig", "TuningGrid", "TuningResult", "beta_hat",
+    "SolverConfig", "TuningGrid", "TuningResult", "assemble_blocks",
+    "beta_hat",
     "beta_one_null", "beta_spectra", "beta_three_null", "build_design",
     "classification_metrics", "classify", "compute_U", "compute_V",
-    "compute_W_blocks", "default_tuning_grid", "eval_basis",
+    "default_tuning_grid", "eval_basis",
     "eval_basis_many", "fit",
     "fit_initial", "generate_predictors", "generate_responses",
     "gram_block", "interval_count_rule", "ise", "log_likelihood",

@@ -107,28 +107,28 @@ def eval_basis(basis: BSplineBasis, t: float, derivative_order: int = 0) -> np.n
     return eval_basis_many(basis, [t], derivative_order)[0]
 
 
-def _gauss_legendre(a: float, b: float, n_nodes: int):
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    half = 0.5 * (b - a)
-    return a + half * (x + 1.0), half * w
+def gram_block(basis: BSplineBasis, derivative_order: int = 0) -> np.ndarray:
+    """Exact Gram blocks of the derivative-order basis, one per subinterval.
 
-
-def gram_block(basis: BSplineBasis, interval_index: int, derivative_order: int = 0) -> np.ndarray:
-    """Exact Gram matrix of derivative-order basis vectors over one subinterval.
-
-    ``interval_index`` is 1-based (1..M). Gauss-Legendre with
-    degree - derivative_order + 1 nodes is exact for the degree
-    2(degree - derivative_order) polynomial integrand.
+    Returns an (M, d+1, d+1) stack. Only functions j..j+d are nonzero on
+    0-based subinterval j, so block j is the Gram matrix of those d+1
+    functions over it; every other entry of the L x L Gram is zero there.
+    Gauss-Legendre with degree - derivative_order + 1 nodes per subinterval
+    is exact for the degree 2(degree - derivative_order) polynomial
+    integrand; all nodes go through one basis evaluation.
     """
-    M = basis.interior_interval_count
-    if not 1 <= interval_index <= M:
-        raise ValueError(f"interval index {interval_index} outside [1, {M}]")
-    if not 0 <= derivative_order <= basis.degree - 1:
+    d, M = basis.degree, basis.interior_interval_count
+    if not 0 <= derivative_order <= d - 1:
         raise ValueError(f"derivative order {derivative_order} outside "
-                         f"[0, {basis.degree - 1}]")
+                         f"[0, {d - 1}]")
+    x, w = np.polynomial.legendre.leggauss(d - derivative_order + 1)
     breaks = basis.breakpoints
-    a, b = breaks[interval_index - 1], breaks[interval_index]
-    nodes, weights = _gauss_legendre(a, b, basis.degree - derivative_order + 1)
-    E = eval_basis_many(basis, nodes, derivative_order)
-    G = (E * weights[:, None]).T @ E
-    return 0.5 * (G + G.T)
+    half = 0.5 * np.diff(breaks)[:, None]
+    nodes = breaks[:-1, None] + half * (x + 1.0)
+    E = eval_basis_many(basis, nodes.ravel(), derivative_order)
+    # Gauss nodes are interior, so subinterval j's live columns are j..j+d
+    window = np.arange(M)[:, None] + np.arange(d + 1)
+    E = np.take_along_axis(E.reshape(M, x.size, -1), window[:, None, :],
+                           axis=2)
+    G = (E * (half * w)[:, :, None]).transpose(0, 2, 1) @ E
+    return 0.5 * (G + G.transpose(0, 2, 1))

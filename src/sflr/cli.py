@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace as dc_replace
 from pathlib import Path
@@ -37,12 +38,34 @@ class _UsageError(Exception):
     pass
 
 
+def _at_least(kind, low):
+    """Argument type: a finite ``kind`` value no smaller than ``low``."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite {kind.__name__} >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_nonnegative = _at_least(float, 0.0)
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: "
-                                         f"{text!r}") from None
+        values = [_nonnegative(v) for v in text.split(",") if v.strip()]
+    except argparse.ArgumentTypeError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"not a nonempty comma-separated list of finite numbers >= 0: "
+            f"{text!r}")
+    return values
 
 
 def _intervals_arg(text: str):
@@ -74,9 +97,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="fit a model to labeled data")
     p.add_argument("--data", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--lambda", dest="lam", type=_nonnegative, required=True)
+    p.add_argument("--gamma", type=_nonnegative, required=True)
+    p.add_argument("--degree", type=_at_least(int, 1), default=3)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--intervals", type=_intervals_arg, default="auto")
     p.add_argument("--out", default="model.json")
@@ -95,7 +118,7 @@ def build_parser() -> _Parser:
     p.add_argument("--criterion", choices=("bic", "aic", "cv"), default="bic")
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=_at_least(int, 1), default=3)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--intervals", type=_intervals_arg, default="auto")
     p.add_argument("--out", default="scores.csv")
@@ -120,6 +143,16 @@ def build_parser() -> _Parser:
     p.add_argument("--null-regions", type=_region_list, default=None)
     p.add_argument("--out", default="metrics.json")
     return parser
+
+
+def _check_flag_combinations(parser: _Parser, args) -> None:
+    """Usage errors that depend on more than one flag."""
+    if "m" in args and not 1 <= args.m <= args.degree - 1:
+        parser.error(f"--m must be between 1 and --degree - 1 "
+                     f"({args.degree - 1}), got {args.m}")
+    if getattr(args, "criterion", None) == "cv" and args.folds < 2:
+        parser.error(f"--folds must be at least 2 for --criterion cv, "
+                     f"got {args.folds}")
 
 
 def _resolve_intervals(intervals, n_points: int) -> int:
@@ -266,6 +299,11 @@ def _cmd_evaluate(args) -> int:
         name = args.true_beta.replace("-", "_")
         if name in ("one_null", "three_null", "spectra"):
             beta, nulls = true_beta(name)
+            reach = max(test.grid[-1], model.basis.domain_end)
+            if reach > 1.0:
+                raise DataError(
+                    f"--true-beta {args.true_beta} is defined on [0, 1], but "
+                    f"the test grid and the model domain reach {reach:g}")
         else:
             beta = _load_beta_curve(args.true_beta)
             nulls = args.null_regions or []
@@ -290,6 +328,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flag_combinations(parser, args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,8 @@ from .design import FunctionalDataset
 
 class DataError(ValueError):
     """Malformed input file (bad header, ragged rows, non-finite cells,
-    bad grid/labels, or a model file missing a key)."""
+    bad grid/labels, or a model file with a missing, malformed or
+    inconsistent field)."""
 
 
 def _parse_float(cell: str, row: int, col: int) -> float:

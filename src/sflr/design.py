@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,11 +51,12 @@ class FunctionalDataset:
 
 @dataclass(frozen=True)
 class DesignMatrices:
-    """U (integrated design), V (roughness Gram of order m), per-interval W blocks."""
+    """U (integrated design), V (roughness Gram of order m), and W_blocks,
+    the (M, d+1, d+1) stack of order-0 Gram blocks from ``gram_block``."""
 
     U: np.ndarray
     V: np.ndarray
-    W_blocks: list[np.ndarray] = field(repr=False)
+    W_blocks: np.ndarray = field(repr=False)
     m: int = 2
 
 
@@ -79,21 +81,38 @@ def compute_U(data: FunctionalDataset, basis: BSplineBasis) -> np.ndarray:
     return (data.values * w) @ E
 
 
+@lru_cache(maxsize=16)
+def _scatter_index(M: int, k: int) -> np.ndarray:
+    """Flat L x L positions of an (M, k, k) block stack, read-only."""
+    L = M + k - 1
+    offsets = np.arange(M)[:, None, None]
+    index = ((offsets + np.arange(k)[:, None]) * L + offsets
+             + np.arange(k)).ravel()
+    index.flags.writeable = False
+    return index
+
+
+def assemble_blocks(blocks: np.ndarray, weights=None) -> np.ndarray:
+    """Dense L x L sum of an (M, d+1, d+1) block stack, block j scaled by
+    weights[j] (default 1) and added at rows and columns j..j+d.
+
+    Every entry accumulates its blocks in block order.
+    """
+    M, k, _ = blocks.shape
+    L = M + k - 1
+    if weights is not None:
+        blocks = blocks * np.asarray(weights)[:, None, None]
+    return np.bincount(_scatter_index(M, k), weights=blocks.ravel(),
+                       minlength=L * L).reshape(L, L)
+
+
 def compute_V(basis: BSplineBasis, m: int) -> np.ndarray:
     """Roughness Gram matrix: integral of outer products of m-th derivatives."""
     if not 1 <= m <= basis.degree - 1:
         raise ValueError(f"derivative order m={m} outside [1, {basis.degree - 1}]")
-    V = sum(gram_block(basis, j, m)
-            for j in range(1, basis.interior_interval_count + 1))
-    return 0.5 * (V + V.T)
-
-
-def compute_W_blocks(basis: BSplineBasis) -> list[np.ndarray]:
-    """Order-0 Gram block for each subinterval (used by the sparsity penalty)."""
-    return [gram_block(basis, j, 0)
-            for j in range(1, basis.interior_interval_count + 1)]
+    return assemble_blocks(gram_block(basis, m))
 
 
 def build_design(data: FunctionalDataset, basis: BSplineBasis, m: int = 2) -> DesignMatrices:
     return DesignMatrices(U=compute_U(data, basis), V=compute_V(basis, m),
-                          W_blocks=compute_W_blocks(basis), m=m)
+                          W_blocks=gram_block(basis, 0), m=m)

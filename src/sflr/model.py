@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,8 +84,39 @@ _MODEL_KEYS = ("domain", "degree", "M", "b", "alpha", "null_mask", "lambda",
                "gamma", "m")
 
 
+def _finite(value) -> bool:
+    """True for a JSON number (not a boolean) that fits a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _model_float(doc: dict, key: str) -> float:
+    if not _finite(doc[key]):
+        raise DataError(f"model file {key!r} must be a finite number, "
+                        f"got {doc[key]!r}")
+    return float(doc[key])
+
+
+def _model_count(doc: dict, key: str) -> int:
+    value = doc[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DataError(f"model file {key!r} must be an integer >= 1, "
+                        f"got {value!r}")
+    return value
+
+
+def _model_list(doc: dict, key: str, size: int, valid, what: str) -> list:
+    value = doc[key]
+    if not (isinstance(value, list) and len(value) == size
+            and all(map(valid, value))):
+        raise DataError(f"model file {key!r} must be a list of {size} "
+                        f"{what}")
+    return value
+
+
 def from_json(text: str) -> SflrModel:
-    """Model from ``to_json`` text; a DataError names a missing key."""
+    """Model from ``to_json`` text; a DataError names a missing key or the
+    first field that is malformed or inconsistent with the others."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -94,13 +126,23 @@ def from_json(text: str) -> SflrModel:
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
         raise DataError(f"model file has no {missing[0]!r} key")
-    basis = make_basis(doc["domain"][1], doc["degree"], doc["M"])
-    fit = FitResult(b=np.asarray(doc["b"], dtype=np.float64),
-                    alpha=float(doc["alpha"]),
-                    null_mask=np.asarray(doc["null_mask"], dtype=bool),
-                    converged=True, lam=doc["lambda"], gamma=doc["gamma"])
-    grid = np.array([doc["domain"][0], doc["domain"][1]])
-    return SflrModel(basis=basis, fit=fit, training_grid=grid, m=doc["m"])
+    domain = _model_list(doc, "domain", 2, _finite, "finite numbers")
+    if not 0.0 <= domain[0] < domain[1]:
+        raise DataError(f"model file 'domain' {domain} is not an interval "
+                        "[start, end] with 0 <= start < end")
+    degree, M = _model_count(doc, "degree"), _model_count(doc, "M")
+    b = _model_list(doc, "b", M + degree, _finite, "finite numbers")
+    null_mask = _model_list(doc, "null_mask", M,
+                            lambda v: isinstance(v, bool), "booleans")
+    fit = FitResult(b=np.array(b, dtype=np.float64),
+                    alpha=_model_float(doc, "alpha"),
+                    null_mask=np.array(null_mask, dtype=bool),
+                    converged=True, lam=_model_float(doc, "lambda"),
+                    gamma=_model_float(doc, "gamma"))
+    basis = make_basis(float(domain[1]), degree, M)
+    grid = np.array(domain, dtype=np.float64)
+    return SflrModel(basis=basis, fit=fit, training_grid=grid,
+                     m=_model_count(doc, "m"))
 
 
 def load(path) -> SflrModel:

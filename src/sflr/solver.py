@@ -21,9 +21,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import BSplineBasis, eval_basis_many
-from .design import DesignMatrices
+from .design import DesignMatrices, assemble_blocks
 
 _DESCENT_SLACK = 1e-12
 _COND_LIMIT = 1e12
@@ -90,12 +91,17 @@ def log_likelihood(b: np.ndarray, alpha: float, U: np.ndarray, y: np.ndarray,
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def interval_norms(b: np.ndarray, W_blocks: list[np.ndarray]) -> np.ndarray:
-    """L2 norm of the coefficient function restricted to each subinterval."""
-    return np.sqrt(np.maximum([b @ W @ b for W in W_blocks], 0.0))
+def interval_norms(b: np.ndarray, W_blocks: np.ndarray) -> np.ndarray:
+    """L2 norm of the coefficient function restricted to each subinterval.
+
+    Block j of the (M, d+1, d+1) stack acts on coefficients j..j+d.
+    """
+    window = sliding_window_view(b, W_blocks.shape[1])
+    return np.sqrt(np.maximum(
+        np.einsum("ja,jab,jb->j", window, W_blocks, window), 0.0))
 
 
-def lqa_weight_matrix(b_current: np.ndarray, W_blocks: list[np.ndarray],
+def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
                       lam: float, T: float, M: int,
                       norm_floor: float) -> np.ndarray:
     """Scaled LQA penalty matrix (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]||.
@@ -105,14 +111,11 @@ def lqa_weight_matrix(b_current: np.ndarray, W_blocks: list[np.ndarray],
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    L = W_blocks[0].shape[0]
     if lam == 0.0:
+        L = b_current.size
         return np.zeros((L, L))
     coef = 1.0 / np.maximum(interval_norms(b_current, W_blocks), norm_floor)
-    Wt = np.zeros((L, L))
-    for c, W in zip(coef, W_blocks):
-        Wt += c * W
-    return 0.5 * lam * np.sqrt(T / M) * Wt
+    return 0.5 * lam * np.sqrt(T / M) * assemble_blocks(W_blocks, coef)
 
 
 def _pad_penalty(P: np.ndarray) -> np.ndarray:
@@ -290,10 +293,10 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     while True:
         norms = interval_norms(b, W_blocks)
         null_mask = norms / np.sqrt(h) < eps
-        touched = [l for l in range(b.size)
-                   if b[l] != 0.0 and any(null_mask[j]
-                                          for j in basis.support_intervals(l))]
-        if not touched:
+        # coefficient l lives on subintervals l-d..l
+        touched = (b != 0.0) & (np.convolve(null_mask,
+                                            np.ones(basis.degree + 1)) > 0)
+        if not touched.any():
             break
         b[touched] = 0.0
 

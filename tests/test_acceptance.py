@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from sflr.basis import eval_basis_many, gram_block, make_basis
-from sflr.design import FunctionalDataset, build_design
+from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.simulate import (ScenarioSpec, beta_one_null, default_tuning_grid,
                            generate_predictors, generate_responses,
                            replicate_experiment)
@@ -180,7 +180,7 @@ def test_spline_suite():
     w = np.full(ts.size, ts[1] - ts[0])
     w[0] = w[-1] = 0.5 * (ts[1] - ts[0])
     ref = (Ef * w[:, None]).T @ Ef
-    total = sum(design.W_blocks)
+    total = assemble_blocks(design.W_blocks)
     assert np.max(np.abs(total - ref)) / np.max(np.abs(ref)) < 1e-6
 
     # constant and linear coefficient functions carry zero roughness (m=2)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from sflr.basis import (eval_basis, eval_basis_many, gram_block, make_basis)
+from sflr.design import assemble_blocks
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +101,7 @@ def _trapezoid_gram(basis, deriv, n_points=100_001):
 
 
 def test_gram_block_sum_matches_trapezoid_oracle(cubic):
-    total = sum(gram_block(cubic, j, 0)
-                for j in range(1, cubic.interior_interval_count + 1))
+    total = assemble_blocks(gram_block(cubic, 0))
     # the trapezoid oracle itself carries O(h^2) error, so refine enough
     # for its own bias to drop below the tolerance
     ref = _trapezoid_gram(cubic, 0, n_points=400_001)
@@ -109,35 +109,51 @@ def test_gram_block_sum_matches_trapezoid_oracle(cubic):
 
 
 def test_gram_block_derivative_sum_matches_trapezoid_oracle(cubic):
-    total = sum(gram_block(cubic, j, 2)
-                for j in range(1, cubic.interior_interval_count + 1))
+    total = assemble_blocks(gram_block(cubic, 2))
     ref = _trapezoid_gram(cubic, 2)
     assert np.max(np.abs(total - ref)) / np.max(np.abs(ref)) < 1e-6
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_gram_blocks_symmetric_psd(cubic, m):
+    blocks = gram_block(cubic, m)
     for j in (1, 7, 30):
-        W = gram_block(cubic, j, m)
+        W = blocks[j - 1]
         assert np.allclose(W, W.T)
         assert np.linalg.eigvalsh(W).min() >= -1e-10
 
 
-def test_gram_block_sparsity_pattern(cubic):
-    d = cubic.degree
-    for j in (1, 15, 30):
-        W = gram_block(cubic, j, 0)
-        nz = np.argwhere(np.abs(W) > 1e-15)
-        assert nz.shape[0] <= (d + 1) ** 2
-        # nonzero only for functions overlapping subinterval j
-        lo, hi = j - 1, j - 1 + d
-        assert nz.min() >= lo and nz.max() <= hi
+def _dense_interval_gram(basis, j, m, n_nodes=8):
+    """Gram of all L functions over 0-based subinterval j, by direct
+    Gauss-Legendre quadrature (exact: the integrand has degree <= 10)."""
+    a, b = basis.breakpoints[j], basis.breakpoints[j + 1]
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    E = eval_basis_many(basis, a + 0.5 * (b - a) * (x + 1.0), m)
+    return (E * (0.5 * (b - a) * w)[:, None]).T @ E
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("M", [1, 2, 30])
+def test_gram_block_is_the_window_of_the_interval_gram(degree, M):
+    basis = make_basis(1.0, degree, M)
+    for m in range(degree):
+        blocks = gram_block(basis, m)
+        assert blocks.shape == (M, degree + 1, degree + 1)
+        for j in range(M):
+            dense = _dense_interval_gram(basis, j, m)
+            win = slice(j, j + degree + 1)
+            np.testing.assert_allclose(blocks[j], dense[win, win],
+                                       rtol=0, atol=1e-12 * np.abs(dense).max())
+            dense[win, win] = 0.0
+            assert not dense.any()
+    for bad in (-1, degree):
+        with pytest.raises(ValueError):
+            gram_block(basis, bad)
 
 
 def test_constant_annihilated_by_derivative_gram(cubic):
     ones = np.ones(cubic.basis_count)
-    V2 = sum(gram_block(cubic, j, 2)
-             for j in range(1, cubic.interior_interval_count + 1))
+    V2 = assemble_blocks(gram_block(cubic, 2))
     assert abs(ones @ V2 @ ones) < 1e-10
 
 
@@ -147,18 +163,8 @@ def test_polynomials_below_m_annihilated(cubic):
     # entries of order M^3
     ts = np.linspace(0.0, 1.0, 2001)
     E = eval_basis_many(cubic, ts)
-    V = sum(gram_block(cubic, j, 2)
-            for j in range(1, cubic.interior_interval_count + 1))
+    V = assemble_blocks(gram_block(cubic, 2))
     for target in (np.ones_like(ts), ts):
         b = np.linalg.lstsq(E, target, rcond=None)[0]
         scale = np.abs(b) @ np.abs(V) @ np.abs(b)
         assert abs(b @ V @ b) < 1e-12 * scale
-
-
-def test_gram_block_index_validation(cubic):
-    with pytest.raises(ValueError):
-        gram_block(cubic, 0, 0)
-    with pytest.raises(ValueError):
-        gram_block(cubic, 31, 0)
-    with pytest.raises(ValueError):
-        gram_block(cubic, 1, 3)

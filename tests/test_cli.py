@@ -191,6 +191,59 @@ class TestExitCodes:
         assert "--intervals must be a positive integer" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["fit", "--lambda", "1.0", "--gamma", "1e-3", "--degree", "0"],
+        ["fit", "--lambda", "1.0", "--gamma", "1e-3", "--m", "5"],
+        ["fit", "--lambda", "-1", "--gamma", "1e-3"],
+        ["tune", "--lambda-grid", "1.0", "--gamma-grid", "1e-3",
+         "--criterion", "cv", "--folds", "1"],
+        ["tune", "--lambda-grid", ",", "--gamma-grid", "1e-3"],
+    ])
+    def test_invalid_flag_value_is_1(self, sim_files, tmp_path, capsys,
+                                     flags):
+        _, prefix = sim_files
+        assert _run(flags + ["--data", prefix + "_train.csv",
+                             "--out", str(tmp_path / "out")]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("b", "short"), ("null_mask", "short"), ("alpha", float("nan")),
+        ("degree", 0),
+    ])
+    def test_inconsistent_model_is_2(self, sim_files, fitted, tmp_path,
+                                     capsys, field, value):
+        _, prefix = sim_files
+        doc = json.loads(fitted.read_text())
+        doc[field] = doc[field][:-1] if value == "short" else value
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert _run(["predict", "--model", str(broken), "--data",
+                     prefix + "_test.csv", "--out", str(out)]) == 2
+        assert f"{field!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_true_beta_past_its_domain_is_2(self, tmp_path, capsys):
+        # a model fitted on [0, 2] can score curves on [0, 2], but the
+        # scenario's coefficient function only exists on [0, 1]
+        rng = np.random.default_rng(1)
+        grid = np.linspace(0.0, 2.0, 41)
+        rows = ["t," + ",".join(repr(float(t)) for t in grid)]
+        rows += [f"{i % 2}," + ",".join(repr(float(v)) for v in
+                                        rng.standard_normal(41))
+                 for i in range(40)]
+        wide = tmp_path / "wide.csv"
+        wide.write_text("\n".join(rows) + "\n")
+        model = tmp_path / "m.json"
+        assert _run(["fit", "--data", str(wide), "--lambda", "1.0",
+                     "--gamma", "1e-3", "--intervals", "5",
+                     "--out", str(model)]) in (0, 3)
+        assert _run(["evaluate", "--model", str(model), "--test", str(wide),
+                     "--true-beta", "one-null",
+                     "--out", str(tmp_path / "metrics.json")]) == 2
+        assert "defined on [0, 1]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_model_missing_key_is_2(self, sim_files, fitted, tmp_path,
                                     capsys, command):

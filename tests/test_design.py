@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from sflr.basis import eval_basis_many, gram_block, make_basis
-from sflr.design import (FunctionalDataset, build_design, compute_U,
-                         compute_V, compute_W_blocks, trapezoid_weights)
+from sflr.design import (FunctionalDataset, assemble_blocks, build_design,
+                         compute_U, compute_V, trapezoid_weights)
+from sflr.solver import interval_norms
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +59,7 @@ def test_compute_U_basis_function_matches_gram_row(cubic):
     k = 12
     xk = eval_basis_many(cubic, ts)[:, k]
     U = compute_U(FunctionalDataset(ts, xk), cubic)
-    gram_row = sum(gram_block(cubic, j, 0)
-                   for j in range(1, 31))[k]
+    gram_row = assemble_blocks(gram_block(cubic, 0))[k]
     assert np.max(np.abs(U[0] - gram_row)) / np.max(np.abs(gram_row)) < 1e-4
 
 
@@ -116,29 +116,40 @@ def test_compute_V_order_validation(cubic):
 
 
 def test_W_blocks_sum_to_full_gram(cubic):
-    blocks = compute_W_blocks(cubic)
+    # the loop over dense per-interval blocks is the reference for the scatter
+    blocks = gram_block(cubic, 0)
     assert len(blocks) == 30
-    total = sum(gram_block(cubic, j, 0) for j in range(1, 31))
-    np.testing.assert_allclose(sum(blocks), total, atol=1e-14)
+    L = cubic.basis_count
+    total = np.zeros((L, L))
+    for j, W in enumerate(blocks):
+        total[j:j + 4, j:j + 4] += W
+    np.testing.assert_allclose(assemble_blocks(blocks), total, atol=1e-14)
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, 30)
+    total = np.zeros((L, L))
+    for j, (c, W) in enumerate(zip(weights, blocks)):
+        total[j:j + 4, j:j + 4] += c * W
+    np.testing.assert_allclose(assemble_blocks(blocks, weights), total,
+                               atol=1e-14)
 
 
 def test_W_block_quadratic_forms(cubic):
-    blocks = compute_W_blocks(cubic)
+    blocks = gram_block(cubic, 0)
     rng = np.random.default_rng(9)
     b = rng.standard_normal(cubic.basis_count)
     ones = np.ones(cubic.basis_count)
-    for W in blocks:
-        assert b @ W @ b >= 0.0
+    for j, W in enumerate(blocks):
+        bj = b[j:j + 4]
+        assert bj @ W @ bj >= 0.0
         # integral of 1 over one subinterval
-        assert ones @ W @ ones == pytest.approx(1.0 / 30.0, abs=1e-12)
+        assert ones[j:j + 4] @ W @ ones[j:j + 4] == pytest.approx(
+            1.0 / 30.0, abs=1e-12)
 
 
 def test_interval_norms_tile_the_l2_norm(cubic):
     # sum of squared subinterval norms equals the full integral of beta^2
     rng = np.random.default_rng(13)
     b = rng.standard_normal(cubic.basis_count)
-    blocks = compute_W_blocks(cubic)
-    total = sum(b @ W @ b for W in blocks)
+    total = np.sum(interval_norms(b, gram_block(cubic, 0)) ** 2)
     ts = np.linspace(0, 1, 200_001)
     beta = eval_basis_many(cubic, ts) @ b
     ref = np.trapezoid(beta ** 2, ts)

@@ -1,9 +1,14 @@
 """Fitted-model behavior: curve evaluation, prediction, null regions, JSON."""
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sflr import model as model_mod
 from sflr.basis import eval_basis_many, make_basis
+from sflr.dataio import DataError
 from sflr.design import FunctionalDataset, build_design
 from sflr.model import (SflrModel, beta_hat, classify, null_regions,
                         predict_proba)
@@ -152,3 +157,47 @@ class TestJsonRoundTrip:
                                  rng.standard_normal((6, 41)))
         np.testing.assert_array_equal(predict_proba(m, data),
                                       predict_proba(back, data))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _model_documents(draw):
+    """A saved model's document with some keys dropped, replaced or shortened."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    M = draw(st.integers(1, 6))
+    degree = draw(st.integers(1, 4))
+    doc = json.loads(model_mod.to_json(_make_model(
+        rng.standard_normal(M + degree), alpha=float(rng.standard_normal()),
+        null_mask=rng.random(M) < 0.5, M=M, degree=degree)))
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True)):
+        action = draw(st.sampled_from(["drop", "replace", "shorten"]))
+        if action == "drop":
+            del doc[key]
+        elif action == "shorten" and isinstance(doc[key], list):
+            doc[key] = doc[key][:-1]
+        else:
+            doc[key] = draw(_JSON_VALUES)
+    return doc
+
+
+class TestFromJsonValidation:
+    @given(_model_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_documents_raise_only_data_error(self, doc):
+        try:
+            model = model_mod.from_json(json.dumps(doc))
+        except DataError:
+            return
+        # whatever loads is a consistent model
+        M = model.basis.interior_interval_count
+        assert model.fit.b.shape == (M + model.basis.degree,)
+        assert model.fit.null_mask.shape == (M,)
+        assert np.all(np.isfinite(model.fit.b))
+        assert all(np.isfinite([model.fit.alpha, model.fit.lam,
+                                model.fit.gamma]))

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from sflr.basis import make_basis
-from sflr.design import FunctionalDataset, build_design
+from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.model import SflrModel, beta_hat
 from sflr.solver import (FitResult, SolverConfig, clamped_probs, fit,
                          fit_initial, interval_norms, log_likelihood,
@@ -95,7 +95,7 @@ class TestLqaWeightMatrix:
         _, W_blocks = setup
         lam = 3.0
         Wt = lqa_weight_matrix(np.ones(13), W_blocks, lam, 1.0, 10, 1e-8)
-        gram = sum(W_blocks)
+        gram = assemble_blocks(W_blocks)
         np.testing.assert_allclose(Wt, 0.5 * lam * gram, rtol=1e-12)
 
     def test_zero_coefficients_floor_active(self, setup):
@@ -268,7 +268,9 @@ class TestFit:
         rng = np.random.default_rng(0)
         b = rng.standard_normal(basis.basis_count)
         norms = interval_norms(b, design.W_blocks)
-        ref = [math.sqrt(max(b @ W @ b, 0.0)) for W in design.W_blocks]
+        d = basis.degree
+        ref = [math.sqrt(max(b[j:j + d + 1] @ W @ b[j:j + d + 1], 0.0))
+               for j, W in enumerate(design.W_blocks)]
         np.testing.assert_allclose(norms, ref, atol=1e-14)
 
     def test_sparsity_weakly_monotone_in_lambda(self):
