@@ -146,9 +146,32 @@ def test_gram_block_is_the_window_of_the_interval_gram(degree, M):
                                        rtol=0, atol=1e-12 * np.abs(dense).max())
             dense[win, win] = 0.0
             assert not dense.any()
-    for bad in (-1, degree):
+
+
+def test_gram_block_sparsity_pattern():
+    # block j scattered alone into L x L is nonzero only on rows and
+    # columns j..j+d, where it matches the dense per-interval Gram
+    for degree in (1, 3, 5):
+        basis = make_basis(1.0, degree, 30)
+        L = basis.basis_count
+        for m in range(degree):
+            blocks = gram_block(basis, m)
+            for j in (0, 1, 14, 29):
+                single = assemble_blocks(blocks, np.eye(30)[j])
+                dense = _dense_interval_gram(basis, j, m)
+                np.testing.assert_allclose(single, dense, rtol=0,
+                                           atol=1e-12 * np.abs(dense).max())
+                outside = np.ones((L, L), dtype=bool)
+                outside[j:j + degree + 1, j:j + degree + 1] = False
+                assert not single[outside].any()
+
+
+def test_gram_block_index_validation(cubic):
+    for bad in (-1, cubic.degree, cubic.degree + 1):
         with pytest.raises(ValueError):
-            gram_block(basis, bad)
+            gram_block(cubic, bad)
+    for ok in range(cubic.degree):
+        assert gram_block(cubic, ok).shape == (30, 4, 4)
 
 
 def test_constant_annihilated_by_derivative_gram(cubic):
