@@ -127,9 +127,9 @@ def from_json(text: str) -> SflrModel:
     if missing:
         raise DataError(f"model file has no {missing[0]!r} key")
     domain = _model_list(doc, "domain", 2, _finite, "finite numbers")
-    if not 0.0 <= domain[0] < domain[1]:
+    if domain[0] != 0 or not domain[1] > 0:
         raise DataError(f"model file 'domain' {domain} is not an interval "
-                        "[start, end] with 0 <= start < end")
+                        "[0, end] with end > 0 (the basis starts at 0)")
     degree, M = _model_count(doc, "degree"), _model_count(doc, "M")
     b = _model_list(doc, "b", M + degree, _finite, "finite numbers")
     null_mask = _model_list(doc, "null_mask", M,
@@ -146,4 +146,9 @@ def from_json(text: str) -> SflrModel:
 
 
 def load(path) -> SflrModel:
-    return from_json(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"model file {path} is not UTF-8 text: byte "
+                        f"{exc.start} is {exc.object[exc.start]:#04x}") from None
+    return from_json(text)

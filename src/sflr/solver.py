@@ -27,7 +27,6 @@ from .basis import BSplineBasis, eval_basis_many
 from .design import DesignMatrices, assemble_blocks
 
 _DESCENT_SLACK = 1e-12
-_COND_LIMIT = 1e12
 _L1_NODES = 20
 
 
@@ -131,9 +130,11 @@ def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
                 clamp: float) -> np.ndarray:
     """One Newton-Raphson update of (alpha, b) on the LQA objective.
 
-    ``V_star`` and ``W_tilde_star`` must already be intercept-augmented;
-    solves the symmetric system instead of inverting, falling back to a
-    pseudo-solve when the condition estimate blows up.
+    ``V_star`` and ``W_tilde_star`` must already be intercept-augmented.
+    The system is solved directly; a least-squares pseudo-solve runs only
+    when the solve fails (singular H) or returns a non-finite step.
+    Step-halving in the caller guards descent when a near-singular solve
+    gives a poor direction.
     """
     theta = np.asarray(theta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -146,13 +147,14 @@ def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
     rhs = U_aug.T @ (y - p) - V_star @ theta - W_tilde_star @ theta
     if not np.all(np.isfinite(H)):
         raise np.linalg.LinAlgError("non-finite Newton system")
-    cond = np.linalg.cond(H)
-    if cond > _COND_LIMIT:
-        warnings.warn(f"ill-conditioned Newton system (cond~{cond:.2e}); "
+    try:
+        step = np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError:
+        step = None
+    if step is None or not np.all(np.isfinite(step)):
+        warnings.warn("ill-conditioned Newton system (solve failed); "
                       "using pseudo-solve", RuntimeWarning, stacklevel=2)
         step = np.linalg.lstsq(H, rhs, rcond=None)[0]
-    else:
-        step = np.linalg.solve(H, rhs)
     return theta + step
 
 

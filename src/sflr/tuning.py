@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BSplineBasis
+from .dataio import DataError
 from .design import DesignMatrices, FunctionalDataset, build_design
 from .solver import FitResult, SolverConfig, clamped_probs, fit
 
@@ -16,10 +17,12 @@ CRITERIA = ("bic", "aic", "cv")
 
 
 def worker_count() -> int:
+    """Grid-search workers: ``SFLR_THREADS`` if it is a positive integer,
+    else 1 (the pool only loses time on the fits' NumPy-bound work)."""
     env = os.environ.get("SFLR_THREADS", "")
     if env.isdigit() and int(env) > 0:
         return int(env)
-    return os.cpu_count() or 1
+    return 1
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
         raise ValueError("tuning requires labeled data")
     labels = np.asarray(data.labels)
     if labels.min() == labels.max():
-        raise ValueError("tuning requires both classes present")
+        raise DataError("tuning requires both classes present")
 
     design = build_design(data, basis, config.m)
     U, y = design.U, labels.astype(np.float64)

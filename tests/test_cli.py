@@ -130,6 +130,17 @@ def test_bic_and_aic_select_same_pair_on_reference_seed(sim_files, tmp_path):
            pairs["aic"].split("best_lambda=")[1]
 
 
+def _single_class_csv(path):
+    """A 12-curve data file on a 21-point grid whose labels are all 1."""
+    rng = np.random.default_rng(0)
+    rows = ["t," + ",".join(str(v) for v in np.linspace(0, 1, 21))]
+    for i in range(12):
+        rows.append("1," + ",".join(
+            repr(float(v)) for v in rng.standard_normal(21)))
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert _run(["fit", "--data", "x.csv", "--lambda", "abc",
@@ -164,18 +175,21 @@ class TestExitCodes:
 
     def test_non_convergence_is_3(self, tmp_path):
         # single-class labels cannot converge and are flagged, not raised
-        rng = np.random.default_rng(0)
-        rows = ["t," + ",".join(str(v) for v in np.linspace(0, 1, 21))]
-        for i in range(12):
-            rows.append("1," + ",".join(
-                repr(float(v)) for v in rng.standard_normal(21)))
-        deg = tmp_path / "deg.csv"
-        deg.write_text("\n".join(rows) + "\n")
+        deg = _single_class_csv(tmp_path / "deg.csv")
         with pytest.warns(RuntimeWarning):
             code = _run(["fit", "--data", str(deg), "--lambda", "1.0",
                          "--gamma", "1e-3", "--intervals", "5",
                          "--out", str(tmp_path / "m.json")])
         assert code == 3
+
+    def test_single_class_tune_is_2(self, tmp_path, capsys):
+        one = _single_class_csv(tmp_path / "one.csv")
+        out = tmp_path / "scores.csv"
+        assert _run(["tune", "--data", str(one), "--lambda-grid", "1",
+                     "--gamma-grid", "1e-3", "--intervals", "5",
+                     "--out", str(out)]) == 2
+        assert "both classes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_data_is_2(self, tmp_path, capsys):
         bad = tmp_path / "nan.csv"
@@ -209,7 +223,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, value", [
         ("b", "short"), ("null_mask", "short"), ("alpha", float("nan")),
-        ("degree", 0),
+        ("degree", 0), ("domain", [0.5, 1.0]),
     ])
     def test_inconsistent_model_is_2(self, sim_files, fitted, tmp_path,
                                      capsys, field, value):
@@ -268,6 +282,18 @@ class TestExitCodes:
                      prefix + "_test.csv",
                      "--out", str(tmp_path / "out")]) == 2
         assert "model file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_model_not_utf8_is_2(self, sim_files, tmp_path, capsys, command):
+        _, prefix = sim_files
+        broken = tmp_path / "broken.json"
+        broken.write_bytes(b"\xff\xfe{\x00}\x00\n\x00\x00\x00")
+        data_flag = "--data" if command == "predict" else "--test"
+        assert _run([command, "--model", str(broken), data_flag,
+                     prefix + "_test.csv",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_grid_outside_model_domain_is_2(self, fitted, tmp_path, capsys,

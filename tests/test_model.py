@@ -175,6 +175,8 @@ def _model_documents(draw):
     doc = json.loads(model_mod.to_json(_make_model(
         rng.standard_normal(M + degree), alpha=float(rng.standard_normal()),
         null_mask=rng.random(M) < 0.5, M=M, degree=degree)))
+    # the basis always starts at 0, so only a zero start can load
+    doc["domain"][0] = draw(st.floats(0.0, 0.9))
     for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True)):
         action = draw(st.sampled_from(["drop", "replace", "shorten"]))
         if action == "drop":
@@ -194,7 +196,10 @@ class TestFromJsonValidation:
             model = model_mod.from_json(json.dumps(doc))
         except DataError:
             return
-        # whatever loads is a consistent model
+        # whatever loads is a consistent model, and keeps the file's fields
+        assert [model.basis.domain_start, model.basis.domain_end] == \
+            doc["domain"]
+        np.testing.assert_array_equal(model.fit.b, doc["b"])
         M = model.basis.interior_interval_count
         assert model.fit.b.shape == (M + model.basis.degree,)
         assert model.fit.null_mask.shape == (M,)

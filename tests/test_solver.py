@@ -164,6 +164,26 @@ class TestNewtonStep:
                 for e in np.eye(L)])
             assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
 
+    def test_singular_system_falls_back_to_lstsq(self):
+        # an all-zero column with no penalty leaves H exactly singular
+        rng = np.random.default_rng(3)
+        n = 40
+        U_aug = np.column_stack([np.ones(n), rng.standard_normal((n, 2)),
+                                 np.zeros(n)])
+        y = rng.integers(0, 2, n).astype(float)
+        zero = np.zeros((4, 4))
+        theta = np.array([0.1, -0.3, 0.2, 0.0])
+        p = clamped_probs(U_aug @ theta, 1e-5)
+        H = U_aug.T @ ((p * (1 - p))[:, None] * U_aug)
+        rhs = U_aug.T @ (y - p)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, rhs)
+        with pytest.warns(RuntimeWarning,
+                          match="^ill-conditioned Newton system"):
+            got = newton_step(theta, U_aug, y, zero, zero, 1e-5)
+        np.testing.assert_array_equal(
+            got, theta + np.linalg.lstsq(H, rhs, rcond=None)[0])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             newton_step(np.zeros(3), np.zeros((5, 4)), np.ones(5),
