@@ -27,6 +27,7 @@ from .basis import BSplineBasis, eval_basis_many
 from .design import DesignMatrices, assemble_blocks
 
 _DESCENT_SLACK = 1e-12
+_PIVOT_RATIO_LIMIT = 1e6
 _L1_NODES = 20
 
 
@@ -125,16 +126,31 @@ def _pad_penalty(P: np.ndarray) -> np.ndarray:
     return out
 
 
+def _near_singular(H: np.ndarray) -> bool:
+    """True when the Cholesky factorization H = R'R of the symmetric PSD H
+    fails, or when the ratio of R's largest to smallest pivot exceeds
+    ``_PIVOT_RATIO_LIMIT``.
+
+    The squared pivot ratio is a lower bound on cond(H), so the check
+    never fires where cond(H) <= 1e12, and it costs a fraction of an SVD.
+    """
+    try:
+        pivots = np.diagonal(np.linalg.cholesky(H))
+    except np.linalg.LinAlgError:
+        return True
+    return bool(pivots.max() > _PIVOT_RATIO_LIMIT * pivots.min())
+
+
 def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
                 V_star: np.ndarray, W_tilde_star: np.ndarray,
                 clamp: float) -> np.ndarray:
     """One Newton-Raphson update of (alpha, b) on the LQA objective.
 
     ``V_star`` and ``W_tilde_star`` must already be intercept-augmented.
-    The system is solved directly; a least-squares pseudo-solve runs only
-    when the solve fails (singular H) or returns a non-finite step.
-    Step-halving in the caller guards descent when a near-singular solve
-    gives a poor direction.
+    The system is solved directly unless H is near-singular; then a
+    least-squares pseudo-solve gives the minimum-norm step, where a direct
+    solve would add an arbitrary component along H's near-null space that
+    step-halving cannot catch (the objective is flat, or nearly, along it).
     """
     theta = np.asarray(theta, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -147,14 +163,13 @@ def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
     rhs = U_aug.T @ (y - p) - V_star @ theta - W_tilde_star @ theta
     if not np.all(np.isfinite(H)):
         raise np.linalg.LinAlgError("non-finite Newton system")
-    try:
-        step = np.linalg.solve(H, rhs)
-    except np.linalg.LinAlgError:
-        step = None
-    if step is None or not np.all(np.isfinite(step)):
-        warnings.warn("ill-conditioned Newton system (solve failed); "
-                      "using pseudo-solve", RuntimeWarning, stacklevel=2)
+    if _near_singular(H):
+        warnings.warn("ill-conditioned Newton system (Cholesky pivots "
+                      "collapse); using pseudo-solve", RuntimeWarning,
+                      stacklevel=2)
         step = np.linalg.lstsq(H, rhs, rcond=None)[0]
+    else:
+        step = np.linalg.solve(H, rhs)
     return theta + step
 
 

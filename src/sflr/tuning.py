@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -14,15 +13,6 @@ from .design import DesignMatrices, FunctionalDataset, build_design
 from .solver import FitResult, SolverConfig, clamped_probs, fit
 
 CRITERIA = ("bic", "aic", "cv")
-
-
-def worker_count() -> int:
-    """Grid-search workers: ``SFLR_THREADS`` if it is a positive integer,
-    else 1 (the pool only loses time on the fits' NumPy-bound work)."""
-    env = os.environ.get("SFLR_THREADS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return 1
 
 
 @dataclass(frozen=True)
@@ -130,7 +120,9 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
         except (ValueError, np.linalg.LinAlgError):
             return math.inf, None
 
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    # one worker: the fits are NumPy-bound, so more threads only lose
+    # time; the pool stays because perfbench traces fits through it
+    with ThreadPoolExecutor(max_workers=1) as pool:
         results = list(pool.map(evaluate, pairs))
 
     table = [{"lambda": lam, "gamma": gam, "criterion": grid.criterion,

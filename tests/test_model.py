@@ -198,8 +198,9 @@ class TestFromJsonValidation:
             return
         # whatever loads is a consistent model, and keeps the file's fields
         assert [model.basis.domain_start, model.basis.domain_end] == \
-            doc["domain"]
-        np.testing.assert_array_equal(model.fit.b, doc["b"])
+            [float(v) for v in doc["domain"]]
+        np.testing.assert_array_equal(model.fit.b,
+                                      np.asarray(doc["b"], dtype=float))
         M = model.basis.interior_interval_count
         assert model.fit.b.shape == (M + model.basis.degree,)
         assert model.fit.null_mask.shape == (M,)

@@ -236,7 +236,6 @@ class TestReplicationHarness:
             return inner(spec, grid, config, replicate, **kwargs)
 
         monkeypatch.setattr(sflr.simulate, "run_replicate", recording)
-        monkeypatch.setenv("SFLR_THREADS", "2")
         spec = ScenarioSpec("one_null", n_train=60, n_test=30, seed=5)
         res = replicate_experiment(spec, None, 3,
                                    SolverConfig(max_iterations=50),

@@ -164,20 +164,25 @@ class TestNewtonStep:
                 for e in np.eye(L)])
             assert np.max(np.abs(grad - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
 
-    def test_singular_system_falls_back_to_lstsq(self):
-        # an all-zero column with no penalty leaves H exactly singular
+    @pytest.mark.parametrize("n, zero_column", [(40, True), (12, False)])
+    def test_singular_system_takes_the_minimum_norm_step(self, n,
+                                                         zero_column):
+        # with no penalty H = U'DU is singular: exactly, when U_aug has an
+        # all-zero column, or up to rounding, when it has more columns
+        # than rows; there a direct solve would return a finite step with
+        # an arbitrary null-space part
         rng = np.random.default_rng(3)
-        n = 40
-        U_aug = np.column_stack([np.ones(n), rng.standard_normal((n, 2)),
-                                 np.zeros(n)])
+        L = 20
+        U_aug = np.column_stack([np.ones(n),
+                                 rng.standard_normal((n, L - 1))])
+        if zero_column:
+            U_aug[:, -1] = 0.0
         y = rng.integers(0, 2, n).astype(float)
-        zero = np.zeros((4, 4))
-        theta = np.array([0.1, -0.3, 0.2, 0.0])
+        zero = np.zeros((L, L))
+        theta = rng.standard_normal(L) * 0.1
         p = clamped_probs(U_aug @ theta, 1e-5)
         H = U_aug.T @ ((p * (1 - p))[:, None] * U_aug)
         rhs = U_aug.T @ (y - p)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(H, rhs)
         with pytest.warns(RuntimeWarning,
                           match="^ill-conditioned Newton system"):
             got = newton_step(theta, U_aug, y, zero, zero, 1e-5)
@@ -235,6 +240,21 @@ class TestFit:
         ref = irls_logistic(X, y)
         assert abs(res.alpha - ref[0]) < 1e-6
         assert np.max(np.abs(res.b - ref[1:])) < 1e-6
+
+    def test_unpenalized_fit_with_fewer_curves_than_coefficients(self):
+        # U has more columns than rows, so H = U'DU is singular at every
+        # step; minimum-norm steps from 0 keep (alpha, b) in U_aug's row
+        # space, where arbitrary null-space parts would pile up unseen
+        basis, design, y = _toy_problem(seed=4, n=12, M=30)
+        cfg = SolverConfig(lam=0.0, gamma=0.0, max_iterations=20)
+        with pytest.warns(RuntimeWarning,
+                          match="^ill-conditioned Newton system"):
+            res = fit(design.U, y, basis, design, cfg)
+        U_aug = np.column_stack([np.ones(y.size), design.U])
+        theta = np.concatenate([[res.alpha], res.b])
+        null_basis = np.linalg.svd(U_aug)[2][y.size:]
+        assert np.linalg.norm(null_basis @ theta) < \
+            1e-6 * np.linalg.norm(theta)
 
     def test_huge_lambda_gives_intercept_only_model(self):
         basis, design, y = _toy_problem(seed=1, n=150, M=5)

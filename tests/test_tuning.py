@@ -8,7 +8,7 @@ from sflr.basis import make_basis
 from sflr.design import FunctionalDataset
 from sflr.solver import FitResult, SolverConfig
 from sflr.tuning import (TuningGrid, score_ic, score_table_csv,
-                         stratified_folds, tune, worker_count)
+                         stratified_folds, tune)
 
 
 def _fit_result(loglik=-50.0, df=3.0, converged=True):
@@ -164,28 +164,3 @@ class TestTune:
         lines = text.strip().splitlines()
         assert lines[0] == "lambda,gamma,criterion,score,converged"
         assert len(lines) == 3
-
-    @pytest.mark.parametrize("criterion", ["bic", "cv"])
-    def test_pool_size_does_not_change_results(self, setup, monkeypatch,
-                                               criterion):
-        data, basis, cfg = setup
-        grid = TuningGrid(lambdas=(0.5, 2.0, 8.0), gammas=(1e-2, 1e-4),
-                          criterion=criterion, folds=4, seed=5)
-        monkeypatch.delenv("SFLR_THREADS", raising=False)
-        serial = tune(data, basis, grid, cfg)
-        monkeypatch.setenv("SFLR_THREADS", "2")
-        pooled = tune(data, basis, grid, cfg)
-        assert score_table_csv(pooled) == score_table_csv(serial)
-        assert (pooled.best_lambda, pooled.best_gamma) == \
-            (serial.best_lambda, serial.best_gamma)
-
-
-@pytest.mark.parametrize("env, expected", [
-    (None, 1), ("2", 2), ("0", 1), ("two", 1),
-])
-def test_worker_count_is_one_unless_asked(monkeypatch, env, expected):
-    if env is None:
-        monkeypatch.delenv("SFLR_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("SFLR_THREADS", env)
-    assert worker_count() == expected
