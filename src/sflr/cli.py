@@ -209,7 +209,8 @@ def _cmd_predict(args) -> int:
     probs = _predict(model, data)
     classes = classify(probs)
     lines = [f"# model={args.model} data={args.data}", "probability,class"]
-    lines += [f"{float(p)!r},{int(c)}" for p, c in zip(probs, classes)]
+    lines += [",".join(map(repr, row))
+              for row in zip(probs.tolist(), classes.tolist())]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print(f"predictions written to {args.out}")
     return EXIT_OK
@@ -334,10 +335,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -306,3 +306,26 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")]) == 2
         assert "data grid extends outside the basis domain" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "predict", "tune", "evaluate"])
+    def test_data_not_utf8_is_2(self, fitted, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"t,0.0,1.0\n1,1.0,2.0\n# caf\xe9\n0,2.0,3.0\n")
+        args = {"fit": ["--data", str(bad), "--lambda", "1.0",
+                        "--gamma", "1.0"],
+                "predict": ["--model", str(fitted), "--data", str(bad)],
+                "tune": ["--data", str(bad), "--lambda-grid", "1",
+                         "--gamma-grid", "1e-3"],
+                "evaluate": ["--model", str(fitted), "--test", str(bad)]}
+        out = tmp_path / "out"
+        assert _run([command, *args[command], "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data file {bad} is not UTF-8 text: byte 25 is 0xe9" in err
+        assert not out.exists()
+
+    def test_data_path_is_a_directory_is_2(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert _run(["fit", "--data", str(tmp_path), "--lambda", "1.0",
+                     "--gamma", "1.0", "--out", str(out)]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()
