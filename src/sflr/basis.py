@@ -19,7 +19,6 @@ class BSplineBasis:
     degree: int
     interior_interval_count: int
     knot_vector: np.ndarray = field(repr=False)
-    domain_start: float = 0.0
 
     @property
     def basis_count(self) -> int:
@@ -28,7 +27,7 @@ class BSplineBasis:
     @property
     def breakpoints(self) -> np.ndarray:
         """The M+1 distinct knots bounding the subintervals."""
-        return np.linspace(self.domain_start, self.domain_end,
+        return np.linspace(0.0, self.domain_end,
                            self.interior_interval_count + 1)
 
     def support_intervals(self, l: int) -> range:
@@ -93,9 +92,9 @@ def eval_basis_many(basis: BSplineBasis, points, derivative_order: int = 0) -> n
     Returns an (n_points, L) matrix.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
-    if pts.size and (pts.min() < basis.domain_start or pts.max() > basis.domain_end):
+    if pts.size and (pts.min() < 0.0 or pts.max() > basis.domain_end):
         raise ValueError("evaluation points outside the basis domain "
-                         f"[{basis.domain_start}, {basis.domain_end}]")
+                         f"[0.0, {basis.domain_end}]")
     if not 0 <= derivative_order <= basis.degree:
         raise ValueError(f"derivative order {derivative_order} outside "
                          f"[0, {basis.degree}]")

@@ -5,23 +5,23 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 non-convergence.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import asdict, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
 from . import model as model_mod
 from .basis import make_basis
-from .dataio import DataError, read_dataset, write_dataset
+from .dataio import DataError, read_curve, read_dataset, write_csv, write_dataset
 from .design import FunctionalDataset, build_design
 from .metrics import MetricsReport, classification_metrics, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
-from .simulate import (ScenarioSpec, _add_observation_noise,
-                       generate_predictors, generate_responses,
-                       interval_count_rule, true_beta)
+from .simulate import (SCENARIOS, ScenarioSpec, _add_observation_noise,
+                       calibrate_alpha, generate_predictors,
+                       generate_responses, interval_count_rule, true_beta)
 from .solver import SolverConfig, fit
 from .tuning import TuningGrid, score_table_csv, tune
 
@@ -38,16 +38,20 @@ class _UsageError(Exception):
     pass
 
 
-def _at_least(kind, low):
-    """Argument type: a finite ``kind`` value no smaller than ``low``."""
+def _at_least(kind, low=-math.inf, strict=False):
+    """Argument type: a finite ``kind`` value no smaller than ``low``, or
+    greater than ``low`` when ``strict``."""
+    bound = "" if low == -math.inf else f" {'>' if strict else '>='} {low}"
+
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not math.isfinite(value) or value < low:
+        if (value is None or not math.isfinite(value) or value < low
+                or (strict and value == low)):
             raise argparse.ArgumentTypeError(
-                f"must be a finite {kind.__name__} >= {low}, got {text!r}")
+                f"must be a finite {kind.__name__}{bound}, got {text!r}")
         return value
 
     return parse
@@ -83,11 +87,14 @@ def _region_list(text: str) -> list[tuple[float, float]]:
         if not part.strip():
             continue
         try:
-            a, b = part.split(":")
-            out.append((float(a), float(b)))
+            a, b = map(float, part.split(":"))
         except ValueError:
+            a = b = math.nan
+        if not 0.0 <= a <= b < math.inf:
             raise argparse.ArgumentTypeError(
-                f"bad interval {part!r}; expected start:end") from None
+                f"bad interval {part!r}; expected start:end with "
+                "0 <= start <= end")
+        out.append((a, b))
     return out
 
 
@@ -126,11 +133,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="generate scenario data files")
     p.add_argument("--scenario", required=True,
                    choices=("one-null", "three-null", "spectra"))
-    p.add_argument("--n-train", type=int, required=True)
-    p.add_argument("--n-test", type=int, default=1000)
+    p.add_argument("--n-train", type=_at_least(int, 1), required=True)
+    p.add_argument("--n-test", type=_at_least(int, 1), default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--grid-size", type=int, default=101)
+    p.add_argument("--snr", type=_at_least(float, 0.0, strict=True),
+                   default=None)
+    p.add_argument("--grid-size", type=_at_least(int, 2), default=101)
     p.add_argument("--out-prefix", default="sim")
 
     p = sub.add_parser("evaluate", help="score a model on labeled test data")
@@ -139,7 +147,7 @@ def build_parser() -> _Parser:
     p.add_argument("--true-beta", default=None,
                    help="scenario name (one-null/three-null/spectra) or a "
                         "CSV curve file with columns t,beta")
-    p.add_argument("--true-alpha", type=float, default=0.0)
+    p.add_argument("--true-alpha", type=_at_least(float), default=0.0)
     p.add_argument("--null-regions", type=_region_list, default=None)
     p.add_argument("--out", default="metrics.json")
     return parser
@@ -155,41 +163,33 @@ def _check_flag_combinations(parser: _Parser, args) -> None:
                      f"got {args.folds}")
 
 
-def _resolve_intervals(intervals, n_points: int) -> int:
-    return interval_count_rule(n_points) if intervals == "auto" else intervals
-
-
-def _write_beta_curve(path, model: SflrModel, n_points: int = 1001,
-                      comment: str | None = None) -> None:
-    ts = np.linspace(model.basis.domain_start, model.basis.domain_end, n_points)
-    vals = beta_hat(model, ts)
-    regions = null_regions(model)
-    lines = []
-    if comment:
-        lines.extend(f"# {ln}" for ln in comment.splitlines())
-    lines.append("t,beta_hat,is_null")
-    for t, v in zip(ts, vals):
-        is_null = any(a <= t <= b for a, b in regions)
-        lines.append(f"{float(t)!r},{float(v)!r},{int(is_null)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+def _labeled_basis(args):
+    """The labeled --data set, its interval count and its basis."""
+    data = read_dataset(args.data)
+    if data.labels is None:
+        raise DataError(f"{args.command} requires labeled data")
+    M = (interval_count_rule(data.n_points) if args.intervals == "auto"
+         else args.intervals)
+    return data, M, make_basis(float(data.grid[-1]), args.degree, M)
 
 
 def _cmd_fit(args) -> int:
-    data = read_dataset(args.data)
-    if data.labels is None:
-        raise DataError("fit requires labeled data")
-    M = _resolve_intervals(args.intervals, data.n_points)
-    basis = make_basis(float(data.grid[-1]), args.degree, M)
+    data, M, basis = _labeled_basis(args)
     design = build_design(data, basis, args.m)
     config = SolverConfig(lam=args.lam, gamma=args.gamma, m=args.m)
     result = fit(design.U, data.labels.astype(float), basis, design, config)
     model = SflrModel(basis=basis, fit=result, training_grid=data.grid,
                       m=args.m)
     model_mod.save(model, args.out)
+    # the fitted curve on 1001 points, with each point's null flag
     curve_path = Path(args.out).with_suffix("").as_posix() + "_beta.csv"
-    _write_beta_curve(curve_path, model,
-                      comment=f"lambda={args.lam} gamma={args.gamma} "
-                              f"degree={args.degree} m={args.m} intervals={M}")
+    ts = np.linspace(0.0, basis.domain_end, 1001)
+    regions = null_regions(model)
+    write_csv(curve_path, ["t", "beta_hat", "is_null"],
+              ((t, v, int(any(a <= t <= b for a, b in regions)))
+               for t, v in zip(ts.tolist(), beta_hat(model, ts).tolist())),
+              f"lambda={args.lam} gamma={args.gamma} degree={args.degree} "
+              f"m={args.m} intervals={M}")
     print(f"model written to {args.out}; curve to {curve_path}; "
           f"converged={result.converged} iterations={result.iterations}")
     return EXIT_OK if result.converged else EXIT_NOCONV
@@ -207,21 +207,15 @@ def _cmd_predict(args) -> int:
     model = model_mod.load(args.model)
     data = read_dataset(args.data)
     probs = _predict(model, data)
-    classes = classify(probs)
-    lines = [f"# model={args.model} data={args.data}", "probability,class"]
-    lines += [",".join(map(repr, row))
-              for row in zip(probs.tolist(), classes.tolist())]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    write_csv(args.out, ["probability", "class"],
+              zip(probs.tolist(), classify(probs).tolist()),
+              f"model={args.model} data={args.data}")
     print(f"predictions written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_tune(args) -> int:
-    data = read_dataset(args.data)
-    if data.labels is None:
-        raise DataError("tune requires labeled data")
-    M = _resolve_intervals(args.intervals, data.n_points)
-    basis = make_basis(float(data.grid[-1]), args.degree, M)
+    data, M, basis = _labeled_basis(args)
     grid = TuningGrid(lambdas=tuple(args.lambda_grid),
                       gammas=tuple(args.gamma_grid),
                       criterion=args.criterion, folds=args.folds,
@@ -244,7 +238,7 @@ def _cmd_simulate(args) -> int:
                         n_test=args.n_test, grid_size=args.grid_size,
                         snr=args.snr, seed=args.seed)
     rng = np.random.default_rng(spec.seed)
-    beta, nulls = true_beta(scenario)
+    beta, _ = true_beta(scenario)
     comment = (f"scenario={args.scenario} seed={args.seed} snr={args.snr} "
                f"n_train={args.n_train} n_test={args.n_test}")
 
@@ -253,7 +247,6 @@ def _cmd_simulate(args) -> int:
         clean = generate_predictors(clean_spec, n, rng)
         alpha = spec.alpha_true
         if scenario == "spectra":
-            from .simulate import calibrate_alpha
             alpha = calibrate_alpha(clean, beta)
         y, _ = generate_responses(clean, beta, alpha, rng)
         values = clean.values
@@ -263,25 +256,11 @@ def _cmd_simulate(args) -> int:
         write_dataset(f"{args.out_prefix}_{name}.csv", labeled, comment)
 
     ts = spec.grid
-    lines = [f"# {comment}", "t,beta"]
-    lines += [f"{float(t)!r},{float(v)!r}"
-              for t, v in zip(ts, np.asarray(beta(ts)))]
-    Path(f"{args.out_prefix}_beta.csv").write_text("\n".join(lines) + "\n")
+    write_csv(f"{args.out_prefix}_beta.csv", ["t", "beta"],
+              zip(ts.tolist(), np.asarray(beta(ts)).tolist()), comment)
     print(f"wrote {args.out_prefix}_train.csv, {args.out_prefix}_test.csv, "
           f"{args.out_prefix}_beta.csv (seed={args.seed})")
     return EXIT_OK
-
-
-def _load_beta_curve(path):
-    rows = [ln for ln in Path(path).read_text().splitlines()
-            if ln.strip() and not ln.startswith("#")]
-    body = rows[1:] if rows and rows[0].startswith("t") else rows
-    pts = np.array([[float(c) for c in ln.split(",")[:2]] for ln in body])
-
-    def beta(t):
-        return np.interp(np.asarray(t, dtype=float), pts[:, 0], pts[:, 1])
-
-    return beta
 
 
 def _cmd_evaluate(args) -> int:
@@ -291,14 +270,11 @@ def _cmd_evaluate(args) -> int:
         raise DataError("evaluate requires labeled test data")
     probs = _predict(model, test)
     cm = classification_metrics(test.labels, classify(probs))
-    report = MetricsReport(mcr=cm.mcr, sensitivity=cm.sensitivity,
-                           specificity=cm.specificity, fdr=cm.fdr,
-                           miss_rate=cm.miss_rate, tp=cm.tp, fp=cm.fp,
-                           tn=cm.tn, fn=cm.fn)
+    report = MetricsReport(**asdict(cm))
 
     if args.true_beta is not None:
         name = args.true_beta.replace("-", "_")
-        if name in ("one_null", "three_null", "spectra"):
+        if name in SCENARIOS:
             beta, nulls = true_beta(name)
             reach = max(test.grid[-1], model.basis.domain_end)
             if reach > 1.0:
@@ -306,14 +282,18 @@ def _cmd_evaluate(args) -> int:
                     f"--true-beta {args.true_beta} is defined on [0, 1], but "
                     f"the test grid and the model domain reach {reach:g}")
         else:
-            beta = _load_beta_curve(args.true_beta)
-            nulls = args.null_regions or []
+            ts, values = read_curve(args.true_beta)
+            beta = functools.partial(np.interp, xp=ts, fp=values)
+            nulls = []
         if args.null_regions is not None:
             nulls = args.null_regions
+        T = model.basis.domain_end
+        if any(b > T for _, b in nulls):
+            raise DataError(f"null regions {nulls} reach past the model's "
+                            f"domain [0, {T:g}]")
         _, p_true = generate_responses(test, beta, args.true_alpha, 0)
         report.pmse = pmse(p_true, probs)
         if nulls:
-            T = model.basis.domain_end
             report.ise0, report.ise1 = ise(lambda t: beta_hat(model, t),
                                            beta, nulls, T)
     Path(args.out).write_text(report.to_json() + "\n")

@@ -53,7 +53,7 @@ def _parse_header(header: list[str]) -> np.ndarray:
     bad = np.flatnonzero(np.diff(grid) <= 0)
     if bad.size:
         raise DataError(f"row 1, column {bad[0] + 3}: grid not strictly "
-                        f"increasing at t={grid[bad[0] + 1]!r}")
+                        f"increasing at t={float(grid[bad[0] + 1])!r}")
     return grid
 
 
@@ -173,14 +173,44 @@ def read_dataset(path) -> FunctionalDataset:
     return _read_cells(path, text)
 
 
+def read_curve(path) -> tuple[np.ndarray, np.ndarray]:
+    """(t, value) columns of a curve file such as ``write_csv`` writes: an
+    optional header row starting with 't', then rows whose first two cells
+    are finite numbers with t strictly increasing; later cells are ignored."""
+    path = Path(path)
+    rows = [ln.split(",") for ln in _read_text(path).splitlines()
+            if ln.strip() and not _is_comment(ln)]
+    start = 1 if rows and rows[0][0].lstrip().startswith("t") else 0
+    if len(rows) == start:
+        raise DataError(f"{path}: no data rows")
+    points = []
+    for r, row in enumerate(rows[start:], start=start + 1):
+        if len(row) < 2:
+            raise DataError(f"{path}: row {r}: expected t and a value, "
+                            "got one cell")
+        points.append([_parse_float(row[0], r, 1), _parse_float(row[1], r, 2)])
+    t, values = np.array(points).T
+    bad = np.flatnonzero(np.diff(t) <= 0)
+    if bad.size:
+        raise DataError(f"{path}: row {bad[0] + start + 2}: t not strictly "
+                        f"increasing at t={float(t[bad[0] + 1])!r}")
+    return t, values
+
+
+def write_csv(path, header, rows, comment: str | None = None) -> None:
+    """Write a CSV file: each line of ``comment`` as a '# ' line, then the
+    header cells and one line per row. Cells are written with ``str``, so a
+    float keeps its shortest round-trip form."""
+    lines = [f"# {ln}" for ln in comment.splitlines()] if comment else []
+    lines.append(",".join(map(str, header)))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def write_dataset(path, data: FunctionalDataset, comment: str | None = None) -> None:
     """Write a dataset file; unlabeled rows get NA labels."""
-    lines = []
-    if comment:
-        lines.extend(f"# {ln}" for ln in comment.splitlines())
-    lines.append("t," + ",".join(map(repr, data.grid.tolist())))
     labels = (["NA"] * data.n_samples if data.labels is None
-              else [str(int(lab)) for lab in data.labels.tolist()])
-    lines.extend(lab + "," + ",".join(map(repr, row))
-                 for lab, row in zip(labels, data.values.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+              else [int(lab) for lab in data.labels.tolist()])
+    write_csv(path, ["t", *data.grid.tolist()],
+              ([lab, *row] for lab, row in zip(labels, data.values.tolist())),
+              comment)

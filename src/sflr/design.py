@@ -74,7 +74,7 @@ def compute_U(data: FunctionalDataset, basis: BSplineBasis) -> np.ndarray:
     against each basis function, by composite trapezoid on the data grid."""
     if data.n_samples == 0:
         raise ValueError("dataset has no samples")
-    if data.grid[0] < basis.domain_start or data.grid[-1] > basis.domain_end:
+    if data.grid[0] < 0.0 or data.grid[-1] > basis.domain_end:
         raise ValueError("data grid extends outside the basis domain")
     E = eval_basis_many(basis, data.grid)
     w = trapezoid_weights(data.grid)

@@ -8,6 +8,9 @@ import numpy as np
 
 Interval = tuple[float, float]
 
+# Simpson points per piece of the ISE integrals (odd)
+_ISE_POINTS = 2001
+
 
 @dataclass
 class ClassificationMetrics:
@@ -78,18 +81,13 @@ def pmse(p_true, p_hat) -> float:
     return float(np.mean((p_true - p_hat) ** 2))
 
 
-def _simpson(f, a: float, b: float, n_points: int) -> float:
-    x = np.linspace(a, b, n_points)
-    return float(np.asarray(f(x)) @ _simpson_weights(x))
-
-
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    h = (x[-1] - x[0]) / (n - 1)
-    w = np.ones(n)
+def _simpson(f, a: float, b: float) -> float:
+    x = np.linspace(a, b, _ISE_POINTS)
+    h = (x[-1] - x[0]) / (_ISE_POINTS - 1)
+    w = np.ones(_ISE_POINTS)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * h / 3.0
+    return float(np.asarray(f(x)) @ (w * h / 3.0))
 
 
 def complement_intervals(intervals: list[Interval], T: float) -> list[Interval]:
@@ -108,12 +106,10 @@ def complement_intervals(intervals: list[Interval], T: float) -> list[Interval]:
     return out
 
 
-def ise(beta_hat, beta_true, null_region: list[Interval], T: float,
-        grid_points: int = 2001) -> tuple[float | None, float | None]:
+def ise(beta_hat, beta_true, null_region: list[Interval],
+        T: float) -> tuple[float | None, float | None]:
     """Length-normalized integrated squared errors over the null region and
     its complement, by Simpson's rule; None when a region has zero length."""
-    if grid_points < 3 or grid_points % 2 == 0:
-        raise ValueError("grid_points must be odd and >= 3")
 
     def sq_err(x):
         return (np.asarray(beta_hat(x)) - np.asarray(beta_true(x))) ** 2
@@ -122,8 +118,7 @@ def ise(beta_hat, beta_true, null_region: list[Interval], T: float,
         length = sum(b - a for a, b in pieces)
         if length <= 0:
             return None
-        total = sum(_simpson(sq_err, a, b, grid_points)
-                    for a, b in pieces if b > a)
+        total = sum(_simpson(sq_err, a, b) for a, b in pieces if b > a)
         return total / length
 
     nulls = sorted((float(a), float(b)) for a, b in null_region)

@@ -11,9 +11,7 @@ import numpy as np
 from .basis import BSplineBasis, eval_basis_many, make_basis
 from .dataio import DataError
 from .design import FunctionalDataset, compute_U
-from .solver import FitResult, clamped_probs
-
-_PREDICT_CLAMP = 1e-5
+from .solver import PROB_CLAMP, FitResult, clamped_probs
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ def beta_hat(model: SflrModel, t) -> float | np.ndarray:
 def predict_proba(model: SflrModel, newdata: FunctionalDataset) -> np.ndarray:
     """Predicted class-1 probabilities for new curves on any in-domain grid."""
     U = compute_U(newdata, model.basis)
-    return clamped_probs(model.fit.alpha + U @ model.fit.b, _PREDICT_CLAMP)
+    return clamped_probs(model.fit.alpha + U @ model.fit.b, PROB_CLAMP)
 
 
 def classify(probabilities, threshold: float = 0.5) -> np.ndarray:
@@ -63,7 +61,7 @@ def null_regions(model: SflrModel) -> list[tuple[float, float]]:
 
 def to_json(model: SflrModel) -> str:
     doc = {
-        "domain": [model.basis.domain_start, model.basis.domain_end],
+        "domain": [0.0, model.basis.domain_end],
         "degree": model.basis.degree,
         "M": model.basis.interior_interval_count,
         "b": model.fit.b.tolist(),

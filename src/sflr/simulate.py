@@ -11,7 +11,7 @@ import numpy as np
 
 from .basis import eval_basis_many, make_basis
 from .design import FunctionalDataset, build_design
-from .metrics import MetricsReport, classification_metrics, ise, pmse
+from .metrics import classification_metrics, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
 from .solver import SolverConfig, _sigmoid, fit
 from .tuning import TuningGrid, tune
@@ -290,10 +290,11 @@ def _null_overlap_fraction(model: SflrModel, designed) -> float:
 
 
 def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
-                  replicate: int, degree: int = 3,
-                  intervals: int | None = None,
+                  replicate: int,
                   fixed_params: tuple[float, float] | None = None) -> dict:
     """Simulate one train/test pair, tune, fit, and score every metric.
+
+    The fit uses a cubic basis with ``interval_count_rule`` intervals.
 
     The row also carries the rates of the Bayes rule (``bayes_*``), which
     classifies the test curves the estimator is given with the true model:
@@ -328,8 +329,7 @@ def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
         test_vals = _add_observation_noise(test_sig, spec.snr, rng)
     test_X = FunctionalDataset(ts, test_vals)
     train = FunctionalDataset(ts, train_vals, y_train)
-    M = interval_count_rule(spec.grid_size) if intervals is None else intervals
-    basis = make_basis(1.0, degree, M)
+    basis = make_basis(1.0, 3, interval_count_rule(spec.grid_size))
 
     if fixed_params is None:
         tuned = tune(train, basis, grid, config)
@@ -368,7 +368,6 @@ def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
 
 def replicate_experiment(spec: ScenarioSpec, grid: TuningGrid,
                          n_replicates: int, config: SolverConfig | None = None,
-                         degree: int = 3, intervals: int | None = None,
                          fixed_params: tuple[float, float] | None = None) -> ReplicationResult:
     """Run seeded replicates in order and summarize metric medians.
 
@@ -381,8 +380,7 @@ def replicate_experiment(spec: ScenarioSpec, grid: TuningGrid,
     rows = []
     for r in range(n_replicates):
         try:
-            rows.append(run_replicate(spec, grid, cfg, r, degree=degree,
-                                      intervals=intervals,
+            rows.append(run_replicate(spec, grid, cfg, r,
                                       fixed_params=fixed_params))
         except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
             warnings.warn(f"replicate {r} failed: {exc}", RuntimeWarning,

@@ -26,6 +26,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .basis import BSplineBasis, eval_basis_many
 from .design import DesignMatrices, assemble_blocks
 
+# fitted probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP]
+PROB_CLAMP = 1e-5
+# coefficients and scaled subinterval norms below this are zero
+_COEF_THRESHOLD = 1e-4
+_NORM_FLOOR = 1e-8
+_STEP_HALVING_MAX = 20
 _DESCENT_SLACK = 1e-12
 _PIVOT_RATIO_LIMIT = 1e6
 _L1_NODES = 20
@@ -33,25 +39,19 @@ _L1_NODES = 20
 
 @dataclass
 class SolverConfig:
-    """Tuning weights and numerical guards for one fit."""
+    """Tuning weights and iteration limits for one fit."""
 
     lam: float = 1.0
     gamma: float = 1.0
     m: int = 2
-    prob_clamp_delta: float = 1e-5
-    coef_threshold_epsilon: float = 1e-4
-    norm_floor: float = 1e-8
     max_iterations: int = 100
     tolerance: float = 1e-6
-    step_halving_max: int = 20
 
     def __post_init__(self):
         if self.lam < 0 or self.gamma < 0:
             raise ValueError("penalty weights must be nonnegative")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if not 0 < self.prob_clamp_delta < 0.5:
-            raise ValueError("prob_clamp_delta must be in (0, 0.5)")
 
 
 @dataclass
@@ -111,9 +111,6 @@ def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if lam == 0.0:
-        L = b_current.size
-        return np.zeros((L, L))
     coef = 1.0 / np.maximum(interval_norms(b_current, W_blocks), norm_floor)
     return 0.5 * lam * np.sqrt(T / M) * assemble_blocks(W_blocks, coef)
 
@@ -141,6 +138,14 @@ def _near_singular(H: np.ndarray) -> bool:
     return bool(pivots.max() > _PIVOT_RATIO_LIMIT * pivots.min())
 
 
+def _likelihood_hessian(theta: np.ndarray, U_aug: np.ndarray,
+                        clamp: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped probabilities p and the Hessian U_aug' diag(p(1-p)) U_aug."""
+    p = clamped_probs(U_aug @ theta, clamp)
+    d = p * (1.0 - p)
+    return p, U_aug.T @ (d[:, None] * U_aug)
+
+
 def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
                 V_star: np.ndarray, W_tilde_star: np.ndarray,
                 clamp: float) -> np.ndarray:
@@ -157,9 +162,8 @@ def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
     if U_aug.shape[1] != theta.size or U_aug.shape[0] != y.size:
         raise ValueError(f"dimension mismatch: U_aug {U_aug.shape}, "
                          f"theta {theta.size}, y {y.size}")
-    p = clamped_probs(U_aug @ theta, clamp)
-    d = p * (1.0 - p)
-    H = U_aug.T @ (d[:, None] * U_aug) + V_star + W_tilde_star
+    p, UDU = _likelihood_hessian(theta, U_aug, clamp)
+    H = UDU + V_star + W_tilde_star
     rhs = U_aug.T @ (y - p) - V_star @ theta - W_tilde_star @ theta
     if not np.all(np.isfinite(H)):
         raise np.linalg.LinAlgError("non-finite Newton system")
@@ -185,9 +189,9 @@ class _ExactObjective:
     Gauss-Legendre per subinterval.
     """
 
-    def __init__(self, basis: BSplineBasis, U_aug, y, V, gamma, lam, clamp):
+    def __init__(self, basis: BSplineBasis, U_aug, y, V, gamma, lam):
         self.U_aug, self.y = U_aug, np.asarray(y, dtype=np.float64)
-        self.V, self.gamma, self.lam, self.clamp = V, gamma, lam, clamp
+        self.V, self.gamma, self.lam = V, gamma, lam
         breaks = basis.breakpoints
         x, w = np.polynomial.legendre.leggauss(_L1_NODES)
         half = 0.5 * np.diff(breaks)
@@ -200,7 +204,7 @@ class _ExactObjective:
 
     def __call__(self, theta: np.ndarray) -> float:
         alpha, b = theta[0], theta[1:]
-        ll = log_likelihood(b, alpha, self.U_aug[:, 1:], self.y, self.clamp)
+        ll = log_likelihood(b, alpha, self.U_aug[:, 1:], self.y, PROB_CLAMP)
         return (-ll + 0.5 * self.gamma * (b @ self.V @ b)
                 + 0.5 * self.lam * self.l1(b))
 
@@ -216,10 +220,10 @@ def _descend(theta, U_aug, y, V_star_aug, penalty, objective, config,
         trace.append(obj)
     for it in range(1, config.max_iterations + 1):
         proposal = newton_step(theta, U_aug, y, V_star_aug, penalty(theta),
-                               config.prob_clamp_delta)
+                               PROB_CLAMP)
         step = proposal - theta
         scale, accepted = 1.0, False
-        for _ in range(config.step_halving_max + 1):
+        for _ in range(_STEP_HALVING_MAX + 1):
             cand = theta + scale * step
             obj_c = objective(cand)
             if obj_c <= obj + _DESCENT_SLACK:
@@ -251,7 +255,7 @@ def fit_initial(U: np.ndarray, y: np.ndarray, V_star: np.ndarray,
     zero_W = np.zeros_like(V_star)
 
     def objective(theta):
-        ll = log_likelihood(theta[1:], theta[0], U, y, config.prob_clamp_delta)
+        ll = log_likelihood(theta[1:], theta[0], U, y, PROB_CLAMP)
         return -ll + 0.5 * theta @ V_star @ theta
 
     theta0 = np.zeros(U_aug.shape[1])
@@ -280,13 +284,12 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
 
     theta, conv0, it0 = fit_initial(U, y, V_star_aug, config)
 
-    objective = _ExactObjective(basis, U_aug, y, V, config.gamma, config.lam,
-                                config.prob_clamp_delta)
+    objective = _ExactObjective(basis, U_aug, y, V, config.gamma, config.lam)
     trace: list[float] = []
     if config.lam > 0.0:
         def lqa_penalty(theta):
             return _pad_penalty(lqa_weight_matrix(
-                theta[1:], W_blocks, config.lam, T, M, config.norm_floor))
+                theta[1:], W_blocks, config.lam, T, M, _NORM_FLOOR))
 
         theta, converged, iters = _descend(theta, U_aug, y, V_star_aug,
                                            lqa_penalty, objective, config,
@@ -304,12 +307,11 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     # threshold raw coefficients, then declare null subintervals by scaled
     # norm and zero every coefficient touching one (iterated to a fixpoint
     # so the mask and the coefficients stay consistent)
-    eps = config.coef_threshold_epsilon
-    b[np.abs(b) < eps] = 0.0
+    b[np.abs(b) < _COEF_THRESHOLD] = 0.0
     h = T / M
     while True:
         norms = interval_norms(b, W_blocks)
-        null_mask = norms / np.sqrt(h) < eps
+        null_mask = norms / np.sqrt(h) < _COEF_THRESHOLD
         # coefficient l lives on subintervals l-d..l
         touched = (b != 0.0) & (np.convolve(null_mask,
                                             np.ones(basis.degree + 1)) > 0)
@@ -318,18 +320,16 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
         b[touched] = 0.0
 
     theta_final = np.concatenate([[alpha], b])
-    p = clamped_probs(U_aug @ theta_final, config.prob_clamp_delta)
-    d = p * (1.0 - p)
-    UDU = U_aug.T @ (d[:, None] * U_aug)
+    _, UDU = _likelihood_hessian(theta_final, U_aug, PROB_CLAMP)
     Wt_aug = _pad_penalty(lqa_weight_matrix(b, W_blocks, config.lam, T, M,
-                                            config.norm_floor))
+                                            _NORM_FLOOR))
     H = UDU + V_star_aug + Wt_aug
     try:
         df = float(np.trace(np.linalg.solve(H, UDU)))
     except np.linalg.LinAlgError:
         df = float(np.trace(np.linalg.lstsq(H, UDU, rcond=None)[0]))
 
-    ll = log_likelihood(b, alpha, U, y, config.prob_clamp_delta)
+    ll = log_likelihood(b, alpha, U, y, PROB_CLAMP)
     return FitResult(b=b, alpha=alpha, null_mask=null_mask,
                      iterations=iters, converged=converged,
                      final_objective=objective(theta_final),

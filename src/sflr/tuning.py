@@ -10,7 +10,7 @@ import numpy as np
 from .basis import BSplineBasis
 from .dataio import DataError
 from .design import DesignMatrices, FunctionalDataset, build_design
-from .solver import FitResult, SolverConfig, clamped_probs, fit
+from .solver import PROB_CLAMP, FitResult, SolverConfig, clamped_probs, fit
 
 CRITERIA = ("bic", "aic", "cv")
 
@@ -21,7 +21,6 @@ class TuningGrid:
     gammas: tuple[float, ...]
     criterion: str = "bic"
     folds: int = 5
-    cv_loss: str = "deviance"
     seed: int = 0
 
     def __post_init__(self):
@@ -33,8 +32,6 @@ class TuningGrid:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.criterion == "cv" and self.folds < 2:
             raise ValueError("CV needs at least 2 folds")
-        if self.cv_loss not in ("deviance", "mcr"):
-            raise ValueError("cv_loss must be 'deviance' or 'mcr'")
 
 
 @dataclass
@@ -70,8 +67,9 @@ def _deviance(y: np.ndarray, p: np.ndarray) -> float:
 
 
 def _cv_score(U: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
-              basis: BSplineBasis, design: DesignMatrices, grid: TuningGrid,
+              basis: BSplineBasis, design: DesignMatrices,
               config: SolverConfig) -> float:
+    """Mean held-out deviance over the folds; inf if a fold's fit fails."""
     losses = []
     for val_idx in folds:
         train_mask = np.ones(y.size, dtype=bool)
@@ -79,12 +77,8 @@ def _cv_score(U: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
         res = fit(U[train_mask], y[train_mask], basis, design, config)
         if not res.converged:
             return math.inf
-        p = clamped_probs(res.alpha + U[val_idx] @ res.b,
-                          config.prob_clamp_delta)
-        if grid.cv_loss == "deviance":
-            losses.append(_deviance(y[val_idx], p))
-        else:
-            losses.append(float(np.mean((p >= 0.5) != (y[val_idx] == 1))))
+        p = clamped_probs(res.alpha + U[val_idx] @ res.b, PROB_CLAMP)
+        losses.append(_deviance(y[val_idx], p))
     return float(np.mean(losses))
 
 
@@ -112,7 +106,7 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
         cfg = replace(config, lam=lam, gamma=gam)
         try:
             if grid.criterion == "cv":
-                return _cv_score(U, y, folds, basis, design, grid, cfg), None
+                return _cv_score(U, y, folds, basis, design, cfg), None
             res = fit(U, y, basis, design, cfg)
             if not res.converged:
                 return math.inf, res

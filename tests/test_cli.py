@@ -329,3 +329,65 @@ class TestExitCodes:
                      "--gamma", "1.0", "--out", str(out)]) == 2
         assert "data error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--n-train", "0"), ("--n-test", "-1"), ("--grid-size", "1"),
+        ("--snr", "0"), ("--snr", "nan"),
+    ])
+    def test_invalid_simulate_size_is_1(self, tmp_path, capsys, flag, value):
+        args = {"--n-train": "20", flag: value}
+        prefix = str(tmp_path / "sim")
+        assert _run(["simulate", "--scenario", "one-null",
+                     *(tok for kv in args.items() for tok in kv),
+                     "--out-prefix", prefix]) == 1
+        assert f"argument {flag}: must be a finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_non_finite_true_alpha_is_1(self, sim_files, fitted, tmp_path,
+                                        capsys):
+        _, prefix = sim_files
+        out = tmp_path / "metrics.json"
+        assert _run(["evaluate", "--model", str(fitted), "--test",
+                     prefix + "_test.csv", "--true-beta", "one-null",
+                     "--true-alpha", "nan", "--out", str(out)]) == 1
+        assert "argument --true-alpha" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,beta\n0.0,1.0\n0.5,abc\n1.0,0.0\n", "row 3, column 2"),
+        ("t,beta\n0.0,1.0\n0.5\n1.0,0.0\n", "row 3: expected t and a value"),
+        ("t,beta\n0.0,1.0\n1.0,0.0\n0.5,2.0\n",
+         "row 4: t not strictly increasing at t=0.5"),
+        ("t,beta\n", "no data rows"),
+    ])
+    def test_malformed_true_beta_file_is_2(self, sim_files, fitted, tmp_path,
+                                           capsys, text, message):
+        _, prefix = sim_files
+        curve = tmp_path / "beta.csv"
+        curve.write_text("# a hand-made curve\n" + text)
+        out = tmp_path / "metrics.json"
+        assert _run(["evaluate", "--model", str(fitted), "--test",
+                     prefix + "_test.csv", "--true-beta", str(curve),
+                     "--null-regions", "0.3:0.7", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reversed_null_region_is_1(self, sim_files, fitted, tmp_path,
+                                       capsys):
+        _, prefix = sim_files
+        out = tmp_path / "metrics.json"
+        assert _run(["evaluate", "--model", str(fitted), "--test",
+                     prefix + "_test.csv", "--true-beta", "one-null",
+                     "--null-regions", "0.7:0.3", "--out", str(out)]) == 1
+        assert "bad interval '0.7:0.3'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_null_region_past_model_domain_is_2(self, sim_files, fitted,
+                                                tmp_path, capsys):
+        _, prefix = sim_files
+        out = tmp_path / "metrics.json"
+        assert _run(["evaluate", "--model", str(fitted), "--test",
+                     prefix + "_test.csv", "--true-beta", "one-null",
+                     "--null-regions", "0.5:2", "--out", str(out)]) == 2
+        assert "past the model's domain [0, 1]" in capsys.readouterr().err
+        assert not out.exists()

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from sflr import dataio
-from sflr.dataio import DataError, read_dataset, write_dataset
+from sflr.dataio import (DataError, read_curve, read_dataset, write_csv,
+                         write_dataset)
 from sflr.design import FunctionalDataset
 
 
@@ -81,7 +82,8 @@ def test_short_grid_rejected(tmp_path):
 
 def test_non_increasing_grid_names_column(tmp_path):
     path = _write(tmp_path, "t,0.0,0.5,0.5,1.0\n1,1.0,2.0,3.0,4.0\n")
-    with pytest.raises(DataError, match="column 4"):
+    with pytest.raises(DataError, match="column 4: grid not strictly "
+                                        "increasing at t=0.5$"):
         read_dataset(path)
 
 
@@ -133,6 +135,22 @@ def test_written_bytes_are_pinned(tmp_path):
     assert (tmp_path / "unlabeled.csv").read_bytes() == \
         b"t,0.0,1.0\nNA,1e+16,-0.0\n"
     assert _bits(read_dataset(path)) == _bits(labeled)
+
+
+def test_curve_file_round_trips_bit_exactly(tmp_path):
+    t = [-0.0, 5e-324, 0.17500000000000002, 1e+16]
+    values = [1e-05, -0.0, 0.1, -2.5]
+    path = tmp_path / "beta.csv"
+    write_csv(path, ["t", "beta", "is_null"],
+              ((a, v, int(v == 0.0)) for a, v in zip(t, values)),
+              comment="scenario=one-null\nseed=3")
+    assert path.read_bytes() == (
+        b"# scenario=one-null\n# seed=3\nt,beta,is_null\n"
+        b"-0.0,1e-05,0\n5e-324,-0.0,1\n0.17500000000000002,0.1,0\n"
+        b"1e+16,-2.5,0\n")
+    got_t, got_values = read_curve(path)
+    assert got_t.tobytes() == np.array(t).tobytes()
+    assert got_values.tobytes() == np.array(values).tobytes()
 
 
 def test_whitespace_only_line_is_a_ragged_row(tmp_path):

@@ -24,7 +24,7 @@ def _scipy_design(basis, points, deriv):
 def _points(basis, n_uniform=257):
     """A uniform grid plus every breakpoint, both endpoints included."""
     return np.sort(np.concatenate([
-        np.linspace(basis.domain_start, basis.domain_end, n_uniform),
+        np.linspace(0.0, basis.domain_end, n_uniform),
         basis.breakpoints]))
 
 

@@ -133,7 +133,7 @@ class TestIse:
     def test_simpson_close_to_finer_trapezoid(self):
         f = lambda t: np.exp(np.asarray(t)) * np.sin(3 * np.asarray(t))
         zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-        i0, _ = ise(f, zero, [(0.1, 0.9)], 1.0, grid_points=2001)
+        i0, _ = ise(f, zero, [(0.1, 0.9)], 1.0)
         ts = np.linspace(0.1, 0.9, 20001)
         ref = np.trapezoid(f(ts) ** 2, ts) / 0.8
         assert i0 == pytest.approx(ref, abs=1e-6)
@@ -144,8 +144,3 @@ class TestIse:
         assert i0 is None and i1 is not None
         i0, i1 = ise(f, f, [(0.0, 1.0)], 1.0)
         assert i0 is not None and i1 is None
-
-    def test_grid_points_validation(self):
-        f = lambda t: np.asarray(t, dtype=float)
-        with pytest.raises(ValueError, match="odd"):
-            ise(f, f, [(0.2, 0.4)], 1.0, grid_points=2000)

