@@ -23,7 +23,7 @@ from .simulate import (SCENARIOS, ScenarioSpec, _add_observation_noise,
                        calibrate_alpha, generate_predictors,
                        generate_responses, interval_count_rule, true_beta)
 from .solver import SolverConfig, fit
-from .tuning import TuningGrid, score_table_csv, tune
+from .tuning import TuningGrid, tune
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NOCONV = 0, 1, 2, 3
 
@@ -124,7 +124,7 @@ def build_parser() -> _Parser:
                    required=True)
     p.add_argument("--criterion", choices=("bic", "aic", "cv"), default="bic")
     p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--degree", type=_at_least(int, 1), default=3)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--intervals", type=_intervals_arg, default="auto")
@@ -135,7 +135,7 @@ def build_parser() -> _Parser:
                    choices=("one-null", "three-null", "spectra"))
     p.add_argument("--n-train", type=_at_least(int, 1), required=True)
     p.add_argument("--n-test", type=_at_least(int, 1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--snr", type=_at_least(float, 0.0, strict=True),
                    default=None)
     p.add_argument("--grid-size", type=_at_least(int, 2), default=101)
@@ -221,12 +221,18 @@ def _cmd_tune(args) -> int:
                       criterion=args.criterion, folds=args.folds,
                       seed=args.seed)
     config = SolverConfig(m=args.m)
-    result = tune(data, basis, grid, config)
-    header = (f"# criterion={args.criterion} seed={args.seed} "
+    try:
+        result = tune(data, basis, grid, config)
+    except RuntimeError as exc:  # every grid point failed
+        print(f"no convergence: {exc}; no table written", file=sys.stderr)
+        return EXIT_NOCONV
+    columns = ["lambda", "gamma", "criterion", "score", "converged"]
+    write_csv(args.out, columns,
+              ([row[c] for c in columns] for row in result.table),
+              f"criterion={args.criterion} seed={args.seed} "
               f"folds={args.folds} intervals={M}\n"
-              f"# best_lambda={result.best_lambda!r} "
-              f"best_gamma={result.best_gamma!r}\n")
-    Path(args.out).write_text(header + score_table_csv(result))
+              f"best_lambda={result.best_lambda!r} "
+              f"best_gamma={result.best_gamma!r}")
     print(f"best lambda={result.best_lambda!r} gamma={result.best_gamma!r}; "
           f"table written to {args.out}")
     return EXIT_OK
@@ -283,6 +289,13 @@ def _cmd_evaluate(args) -> int:
                     f"the test grid and the model domain reach {reach:g}")
         else:
             ts, values = read_curve(args.true_beta)
+            # np.interp would extend the curve as a constant past its ends
+            reach = max(test.grid[-1], model.basis.domain_end)
+            if ts[0] > 0.0 or ts[-1] < reach:
+                raise DataError(
+                    f"--true-beta {args.true_beta} covers "
+                    f"[{ts[0]:g}, {ts[-1]:g}], but the test grid and the "
+                    f"model domain span [0, {reach:g}]")
             beta = functools.partial(np.interp, xp=ts, fp=values)
             nulls = []
         if args.null_regions is not None:

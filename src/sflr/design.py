@@ -82,28 +82,32 @@ def compute_U(data: FunctionalDataset, basis: BSplineBasis) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _scatter_index(M: int, k: int) -> np.ndarray:
-    """Flat L x L positions of an (M, k, k) block stack, read-only."""
-    L = M + k - 1
-    offsets = np.arange(M)[:, None, None]
-    index = ((offsets + np.arange(k)[:, None]) * L + offsets
+def _scatter_index(M: int, k: int, pad: int) -> np.ndarray:
+    """Flat n x n positions, n = M + k - 1 + pad, of an (M, k, k) block
+    stack placed after ``pad`` leading rows and columns, read-only."""
+    n = M + k - 1 + pad
+    offsets = pad + np.arange(M)[:, None, None]
+    index = ((offsets + np.arange(k)[:, None]) * n + offsets
              + np.arange(k)).ravel()
     index.flags.writeable = False
     return index
 
 
-def assemble_blocks(blocks: np.ndarray, weights=None) -> np.ndarray:
+def assemble_blocks(blocks: np.ndarray, weights=None,
+                    pad: int = 0) -> np.ndarray:
     """Dense L x L sum of an (M, d+1, d+1) block stack, block j scaled by
     weights[j] (default 1) and added at rows and columns j..j+d.
 
-    Every entry accumulates its blocks in block order.
+    With ``pad`` > 0 the result is (L + pad) x (L + pad): ``pad`` zero
+    rows and columns first, then the L x L sum. Every entry accumulates
+    its blocks in block order.
     """
     M, k, _ = blocks.shape
-    L = M + k - 1
+    n = M + k - 1 + pad
     if weights is not None:
         blocks = blocks * np.asarray(weights)[:, None, None]
-    return np.bincount(_scatter_index(M, k), weights=blocks.ravel(),
-                       minlength=L * L).reshape(L, L)
+    return np.bincount(_scatter_index(M, k, pad), weights=blocks.ravel(),
+                       minlength=n * n).reshape(n, n)
 
 
 def compute_V(basis: BSplineBasis, m: int) -> np.ndarray:

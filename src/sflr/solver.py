@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import BSplineBasis, eval_basis_many
+from .basis import BSplineBasis, eval_basis_many, make_basis
 from .design import DesignMatrices, assemble_blocks
 
 # fitted probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP]
@@ -91,28 +91,38 @@ def log_likelihood(b: np.ndarray, alpha: float, U: np.ndarray, y: np.ndarray,
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
+@lru_cache(maxsize=16)
+def _window_index(M: int, k: int) -> np.ndarray:
+    """(M, k) indices of the coefficient windows j..j+k-1, read-only."""
+    index = np.arange(M)[:, None] + np.arange(k)
+    index.flags.writeable = False
+    return index
+
+
 def interval_norms(b: np.ndarray, W_blocks: np.ndarray) -> np.ndarray:
     """L2 norm of the coefficient function restricted to each subinterval.
 
     Block j of the (M, d+1, d+1) stack acts on coefficients j..j+d.
     """
-    window = sliding_window_view(b, W_blocks.shape[1])
+    window = b[_window_index(*W_blocks.shape[:2])]
     return np.sqrt(np.maximum(
         np.einsum("ja,jab,jb->j", window, W_blocks, window), 0.0))
 
 
 def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
                       lam: float, T: float, M: int,
-                      norm_floor: float) -> np.ndarray:
+                      norm_floor: float, pad: int = 0) -> np.ndarray:
     """Scaled LQA penalty matrix (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]||.
 
     Subinterval norms are floored at ``norm_floor`` so null intervals
-    give a large finite weight instead of a division by zero.
+    give a large finite weight instead of a division by zero. ``pad``
+    leading zero rows and columns are added; 1 gives the
+    intercept-augmented W~*.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     coef = 1.0 / np.maximum(interval_norms(b_current, W_blocks), norm_floor)
-    return 0.5 * lam * np.sqrt(T / M) * assemble_blocks(W_blocks, coef)
+    return 0.5 * lam * np.sqrt(T / M) * assemble_blocks(W_blocks, coef, pad)
 
 
 def _pad_penalty(P: np.ndarray) -> np.ndarray:
@@ -181,6 +191,22 @@ def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(old))))
 
 
+@lru_cache(maxsize=4)
+def _l1_quadrature(T: float, degree: int, M: int) -> tuple[np.ndarray,
+                                                           np.ndarray]:
+    """Weights and basis rows of the 20-node Gauss-Legendre rule on each
+    subinterval of ``make_basis(T, degree, M)``, read-only."""
+    basis = make_basis(T, degree, M)
+    breaks = basis.breakpoints
+    x, w = np.polynomial.legendre.leggauss(_L1_NODES)
+    half = 0.5 * np.diff(breaks)
+    nodes = (breaks[:-1, None] + half[:, None] * (x + 1.0)).ravel()
+    weights = (half[:, None] * w).ravel()
+    E = eval_basis_many(basis, nodes)
+    weights.flags.writeable = E.flags.writeable = False
+    return weights, E
+
+
 class _ExactObjective:
     """Exact penalized objective used for step acceptance.
 
@@ -189,22 +215,18 @@ class _ExactObjective:
     Gauss-Legendre per subinterval.
     """
 
-    def __init__(self, basis: BSplineBasis, U_aug, y, V, gamma, lam):
-        self.U_aug, self.y = U_aug, np.asarray(y, dtype=np.float64)
+    def __init__(self, basis: BSplineBasis, U, y, V, gamma, lam):
+        self.U, self.y = U, np.asarray(y, dtype=np.float64)
         self.V, self.gamma, self.lam = V, gamma, lam
-        breaks = basis.breakpoints
-        x, w = np.polynomial.legendre.leggauss(_L1_NODES)
-        half = 0.5 * np.diff(breaks)
-        nodes = (breaks[:-1, None] + half[:, None] * (x + 1.0)).ravel()
-        self._l1_w = (half[:, None] * w).ravel()
-        self._l1_E = eval_basis_many(basis, nodes)
+        self._l1_w, self._l1_E = _l1_quadrature(
+            basis.domain_end, basis.degree, basis.interior_interval_count)
 
     def l1(self, b: np.ndarray) -> float:
         return float(self._l1_w @ np.abs(self._l1_E @ b))
 
     def __call__(self, theta: np.ndarray) -> float:
         alpha, b = theta[0], theta[1:]
-        ll = log_likelihood(b, alpha, self.U_aug[:, 1:], self.y, PROB_CLAMP)
+        ll = log_likelihood(b, alpha, self.U, self.y, PROB_CLAMP)
         return (-ll + 0.5 * self.gamma * (b @ self.V @ b)
                 + 0.5 * self.lam * self.l1(b))
 
@@ -264,8 +286,15 @@ def fit_initial(U: np.ndarray, y: np.ndarray, V_star: np.ndarray,
 
 
 def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
-        design: DesignMatrices, config: SolverConfig) -> FitResult:
-    """Full SFLR fit: initialization, LQA Newton loop, thresholding, null mask."""
+        design: DesignMatrices, config: SolverConfig,
+        initial: tuple[np.ndarray, bool, int] | None = None) -> FitResult:
+    """Full SFLR fit: initialization, LQA Newton loop, thresholding, null mask.
+
+    ``initial`` is a ``fit_initial`` result for the same U, y, V and
+    ``config.gamma``. It does not depend on lambda, so ``tune`` computes
+    it once per gamma and hands it to the fit of every lambda; without
+    it, ``fit`` computes it.
+    """
     y = np.asarray(y, dtype=np.float64)
     N = U.shape[0]
     if N < 2:
@@ -282,14 +311,16 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     U_aug = np.column_stack([np.ones(N), U])
     V_star_aug = _pad_penalty(config.gamma * V)
 
-    theta, conv0, it0 = fit_initial(U, y, V_star_aug, config)
+    if initial is None:
+        initial = fit_initial(U, y, V_star_aug, config)
+    theta, conv0, it0 = initial
 
-    objective = _ExactObjective(basis, U_aug, y, V, config.gamma, config.lam)
+    objective = _ExactObjective(basis, U, y, V, config.gamma, config.lam)
     trace: list[float] = []
     if config.lam > 0.0:
         def lqa_penalty(theta):
-            return _pad_penalty(lqa_weight_matrix(
-                theta[1:], W_blocks, config.lam, T, M, _NORM_FLOOR))
+            return lqa_weight_matrix(theta[1:], W_blocks, config.lam, T, M,
+                                     _NORM_FLOOR, pad=1)
 
         theta, converged, iters = _descend(theta, U_aug, y, V_star_aug,
                                            lqa_penalty, objective, config,
@@ -321,8 +352,8 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
 
     theta_final = np.concatenate([[alpha], b])
     _, UDU = _likelihood_hessian(theta_final, U_aug, PROB_CLAMP)
-    Wt_aug = _pad_penalty(lqa_weight_matrix(b, W_blocks, config.lam, T, M,
-                                            _NORM_FLOOR))
+    Wt_aug = lqa_weight_matrix(b, W_blocks, config.lam, T, M, _NORM_FLOOR,
+                               pad=1)
     H = UDU + V_star_aug + Wt_aug
     try:
         df = float(np.trace(np.linalg.solve(H, UDU)))

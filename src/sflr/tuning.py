@@ -10,7 +10,8 @@ import numpy as np
 from .basis import BSplineBasis
 from .dataio import DataError
 from .design import DesignMatrices, FunctionalDataset, build_design
-from .solver import PROB_CLAMP, FitResult, SolverConfig, clamped_probs, fit
+from .solver import (PROB_CLAMP, FitResult, SolverConfig, _pad_penalty,
+                     clamped_probs, fit, fit_initial)
 
 CRITERIA = ("bic", "aic", "cv")
 
@@ -66,20 +67,30 @@ def _deviance(y: np.ndarray, p: np.ndarray) -> float:
     return float(np.mean(-2.0 * (y * np.log(p) + (1 - y) * np.log1p(-p))))
 
 
-def _cv_score(U: np.ndarray, y: np.ndarray, folds: list[np.ndarray],
-              basis: BSplineBasis, design: DesignMatrices,
+def _cv_score(splits, starts, basis: BSplineBasis, design: DesignMatrices,
               config: SolverConfig) -> float:
-    """Mean held-out deviance over the folds; inf if a fold's fit fails."""
+    """Mean held-out deviance over the folds; inf if a fold's fit fails.
+
+    ``splits`` holds each fold's (U_train, y_train, U_held_out,
+    y_held_out) and ``starts`` its initial fit for ``config.gamma``.
+    """
     losses = []
-    for val_idx in folds:
-        train_mask = np.ones(y.size, dtype=bool)
-        train_mask[val_idx] = False
-        res = fit(U[train_mask], y[train_mask], basis, design, config)
+    for (U_t, y_t, U_v, y_v), start in zip(splits, starts):
+        res = fit(U_t, y_t, basis, design, config, initial=start)
         if not res.converged:
             return math.inf
-        p = clamped_probs(res.alpha + U[val_idx] @ res.b, PROB_CLAMP)
-        losses.append(_deviance(y[val_idx], p))
+        p = clamped_probs(res.alpha + U_v @ res.b, PROB_CLAMP)
+        losses.append(_deviance(y_v, p))
     return float(np.mean(losses))
+
+
+def _initial_fit(U: np.ndarray, y: np.ndarray, V: np.ndarray,
+                 config: SolverConfig):
+    """``fit_initial`` for ``config.gamma``, or None if it raises."""
+    try:
+        return fit_initial(U, y, _pad_penalty(config.gamma * V), config)
+    except (ValueError, np.linalg.LinAlgError):
+        return None
 
 
 def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
@@ -87,7 +98,9 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
     """Fit every grid pair and pick the score minimizer.
 
     Ties break toward larger lambda, then larger gamma. Non-converged or
-    failing grid points score +inf instead of raising.
+    failing grid points score +inf instead of raising. The roughness-only
+    initial fit depends on gamma and the training rows alone, so it runs
+    once per gamma (per fold for CV) and starts the fit of every lambda.
     """
     if data.labels is None:
         raise ValueError("tuning requires labeled data")
@@ -99,15 +112,30 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
     U, y = design.U, labels.astype(np.float64)
     pairs = [(lam, gam) for lam in grid.lambdas for gam in grid.gammas]
     if grid.criterion == "cv":
-        folds = stratified_folds(labels, grid.folds, grid.seed)
+        splits = []
+        for val_idx in stratified_folds(labels, grid.folds, grid.seed):
+            train_mask = np.ones(y.size, dtype=bool)
+            train_mask[val_idx] = False
+            splits.append((U[train_mask], y[train_mask], U[val_idx],
+                           y[val_idx]))
+    else:
+        splits = [(U, y)]
+    # a failed initial fit (None) scores every pair of its gamma inf
+    starts = {gam: [_initial_fit(split[0], split[1], design.V,
+                                 replace(config, gamma=gam))
+                    for split in splits]
+              for gam in dict.fromkeys(grid.gammas)}
 
     def evaluate(pair):
         lam, gam = pair
         cfg = replace(config, lam=lam, gamma=gam)
+        if any(start is None for start in starts[gam]):
+            return math.inf, None
         try:
             if grid.criterion == "cv":
-                return _cv_score(U, y, folds, basis, design, cfg), None
-            res = fit(U, y, basis, design, cfg)
+                return _cv_score(splits, starts[gam], basis, design,
+                                 cfg), None
+            res = fit(U, y, basis, design, cfg, initial=starts[gam][0])
             if not res.converged:
                 return math.inf, res
             return score_ic(res, data.n_samples, grid.criterion), res
@@ -131,11 +159,3 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
         raise RuntimeError("no tuning grid point converged")
     return TuningResult(best_lambda=pairs[best][0], best_gamma=pairs[best][1],
                         table=table, best_fit=results[best][1])
-
-
-def score_table_csv(result: TuningResult) -> str:
-    lines = ["lambda,gamma,criterion,score,converged"]
-    for row in result.table:
-        lines.append(f"{row['lambda']!r},{row['gamma']!r},{row['criterion']},"
-                     f"{row['score']!r},{row['converged']}")
-    return "\n".join(lines) + "\n"

@@ -1,11 +1,20 @@
 """End-to-end CLI contract: subcommands, artifacts, exit codes."""
+import contextlib
+import io
 import json
+import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sflr import cli
 from sflr.cli import main
 from sflr.dataio import read_dataset
+from sflr.tuning import TuningResult
 
 
 def _run(args):
@@ -116,6 +125,27 @@ def test_tune_writes_best_pair(sim_files, tmp_path):
     assert len(body) == 5
 
 
+def test_tune_score_file_bytes(sim_files, tmp_path, monkeypatch):
+    # the table rows as tune returns them, one of them a failed pair
+    table = [{"lambda": 4.0, "gamma": 0.001, "criterion": "bic",
+              "score": 181.40625, "converged": True},
+             {"lambda": 8.0, "gamma": 0.0001, "criterion": "bic",
+              "score": math.inf, "converged": False}]
+    monkeypatch.setattr(cli, "tune", lambda *args: TuningResult(
+        best_lambda=4.0, best_gamma=0.001, table=table))
+    _, prefix = sim_files
+    out = tmp_path / "scores.csv"
+    assert _run(["tune", "--data", prefix + "_train.csv",
+                 "--lambda-grid", "4.0,8.0", "--gamma-grid", "1e-3,1e-4",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"# criterion=bic seed=0 folds=5 intervals=30\n"
+        b"# best_lambda=4.0 best_gamma=0.001\n"
+        b"lambda,gamma,criterion,score,converged\n"
+        b"4.0,0.001,bic,181.40625,True\n"
+        b"8.0,0.0001,bic,inf,False\n")
+
+
 def test_bic_and_aic_select_same_pair_on_reference_seed(sim_files, tmp_path):
     _, prefix = sim_files
     pairs = {}
@@ -191,6 +221,32 @@ class TestExitCodes:
         assert "both classes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tune_without_converged_pair_is_3(self, tmp_path, capsys):
+        # separable labels: the unpenalized fit runs off to infinity
+        rows = ["t," + ",".join(str(t) for t in np.linspace(0, 1, 11))]
+        rows += [f"{i % 2}," + ",".join([str(2.0 * (i % 2) - 1.0)] * 11)
+                 for i in range(8)]
+        sep = tmp_path / "sep.csv"
+        sep.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "scores.csv"
+        assert _run(["tune", "--data", str(sep), "--lambda-grid", "0",
+                     "--gamma-grid", "0", "--intervals", "2",
+                     "--out", str(out)]) == 3
+        assert "no tuning grid point converged" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scenario", "one-null", "--n-train", "5"],
+        ["tune", "--data", "x.csv", "--lambda-grid", "1",
+         "--gamma-grid", "1e-3", "--criterion", "cv"]])
+    def test_negative_seed_is_1(self, tmp_path, capsys, command):
+        assert _run([*command, "--seed", "-1", "--out" + (
+            "-prefix" if command[0] == "simulate" else ""),
+            str(tmp_path / "out")]) == 1
+        assert "argument --seed: must be a finite int >= 0" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_non_finite_data_is_2(self, tmp_path, capsys):
         bad = tmp_path / "nan.csv"
         bad.write_text("t,0.0,0.5,1.0\n1,1.0,nan,3.0\n0,1.0,0.0,2.0\n")
@@ -257,6 +313,23 @@ class TestExitCodes:
                      "--true-beta", "one-null",
                      "--out", str(tmp_path / "metrics.json")]) == 2
         assert "defined on [0, 1]" in capsys.readouterr().err
+
+    def test_true_beta_file_short_of_domain_is_2(self, sim_files, fitted,
+                                                 tmp_path, capsys):
+        # np.interp would hold the curve constant past the file's t range
+        _, prefix = sim_files
+        out = tmp_path / "metrics.json"
+        for text, span in (("t,beta\n0,0\n0.5,0\n", "[0, 0.5]"),
+                           ("t,beta\n0.25,0\n1,0\n", "[0.25, 1]")):
+            curve = tmp_path / "short.csv"
+            curve.write_text(text)
+            assert _run(["evaluate", "--model", str(fitted), "--test",
+                         prefix + "_test.csv", "--true-beta", str(curve),
+                         "--null-regions", "0.3:0.7",
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"covers {span}" in err and "span [0, 1]" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_model_missing_key_is_2(self, sim_files, fitted, tmp_path,
@@ -391,3 +464,115 @@ class TestExitCodes:
                      "--null-regions", "0.5:2", "--out", str(out)]) == 2
         assert "past the model's domain [0, 1]" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Tiny inputs for the fuzzed command lines, by placeholder name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(5)
+    grid = np.linspace(0.0, 1.0, 11)
+    header = "t," + ",".join(repr(float(t)) for t in grid)
+
+    def table(labels):
+        return "\n".join([header] + [
+            f"{lab}," + ",".join(repr(float(v))
+                                 for v in rng.standard_normal(grid.size))
+            for lab in labels]) + "\n"
+
+    files = {"train": table([0, 1] * 5), "test": table([1, 0] * 3),
+             "unlabeled": table(["NA"] * 3), "curve": "t,beta\n0,1\n1,-1\n",
+             "short_curve": "t,beta\n0,1\n0.5,-1\n"}
+    paths = {}
+    for name, text in files.items():
+        paths[name] = root / f"{name}.csv"
+        paths[name].write_text(text)
+    paths["garbage"] = root / "garbage.csv"
+    paths["garbage"].write_bytes(b"\xff\xfe,1\n")
+    paths["dir"] = root
+    paths["missing"] = root / "missing.csv"
+    paths["model"] = root / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--data", str(paths["train"]), "--lambda", "1",
+                     "--gamma", "1e-3", "--intervals", "3",
+                     "--out", str(paths["model"])]) in (0, 3)
+    return {f"{{{name}}}": str(path) for name, path in paths.items()}
+
+
+# flag -> (values a run can succeed with, values that should be refused)
+_NUMBER_BAD = ["-1", "nan", "inf", "x"]
+_GRID_BAD = [",", "nan", "-1,2", ""]
+_FLAG_VALUES = {
+    "--data": (["{train}", "{test}"],
+               ["{unlabeled}", "{garbage}", "{dir}", "{missing}", "{model}"]),
+    "--test": (["{test}", "{train}"], ["{unlabeled}", "{garbage}", "{missing}"]),
+    "--model": (["{model}"], ["{train}", "{garbage}", "{missing}", "{dir}"]),
+    "--lambda": (["0", "1", "8"], _NUMBER_BAD),
+    "--gamma": (["0", "1e-3", "1"], _NUMBER_BAD),
+    "--true-alpha": (["0", "1.5", "-2"], ["nan", "x"]),
+    "--lambda-grid": (["1", "0,2", "0.5,4"], _GRID_BAD),
+    "--gamma-grid": (["1e-3", "0,1e-2", "1e-4,1"], _GRID_BAD),
+    "--criterion": (["bic", "aic", "cv"], ["xx"]),
+    "--folds": (["2", "3", "5"], ["1", "0", "-2", "50", "x"]),
+    "--seed": (["0", "7", "123456789012"], ["-1", "x"]),
+    "--degree": (["2", "3", "5"], ["1", "0", "x"]),
+    "--m": (["1", "2"], ["0", "5", "x"]),
+    "--intervals": (["auto", "1", "3", "40"], ["0", "-1", "x"]),
+    "--scenario": (["one-null", "three-null", "spectra"], ["nope"]),
+    "--n-train": (["1", "2", "5"], ["0", "-1", "x"]),
+    "--n-test": (["1", "3"], ["0", "x"]),
+    "--grid-size": (["2", "11"], ["1", "x"]),
+    "--snr": (["1", "0.5"], ["0", "-1", "nan", "x"]),
+    "--true-beta": (["one-null", "three-null", "spectra", "{curve}"],
+                    ["{short_curve}", "{garbage}", "{missing}", "nope"]),
+    "--null-regions": (["0.3:0.7", "0:0.2,0.8:1"],
+                       ["0.7:0.3", "0.5:2", "x", ""]),
+    "--out": (["{out}/result"], ["{dir}"]),
+    "--out-prefix": (["{out}/sim"], ["{missing}/sim"]),
+}
+_COMMAND_FLAGS = {
+    "fit": ["--data", "--lambda", "--gamma", "--degree", "--m",
+            "--intervals", "--out"],
+    "predict": ["--model", "--data", "--out"],
+    "tune": ["--data", "--lambda-grid", "--gamma-grid", "--criterion",
+             "--folds", "--seed", "--degree", "--m", "--intervals", "--out"],
+    "simulate": ["--scenario", "--n-train", "--n-test", "--seed", "--snr",
+                 "--grid-size", "--out-prefix"],
+    "evaluate": ["--model", "--test", "--true-beta", "--true-alpha",
+                 "--null-regions", "--out"],
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with all its flags but at most one, now and then a
+    foreign flag, and at most one flag given a value it should refuse."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    own = _COMMAND_FLAGS[command]
+    flags = draw(st.lists(st.sampled_from(own), min_size=len(own) - 1,
+                          unique=True))
+    flags += draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=1))
+    broken = draw(st.sampled_from([None, *flags]))
+    argv = [command]
+    for flag in flags:
+        good, bad = _FLAG_VALUES[flag]
+        argv += [flag, draw(st.sampled_from(bad if flag == broken else good))]
+    return argv
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=_command_lines())
+def test_main_never_raises_on_fuzzed_flags(fuzz_files, argv):
+    # run inside the output directory: an omitted --out writes to the cwd
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as out:
+        names = {**fuzz_files, "{out}": out}
+        argv = [names.get(a, a).replace("{out}", out) for a in argv]
+        os.chdir(out)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2, 3), argv

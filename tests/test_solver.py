@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from sflr.basis import make_basis
+from sflr.basis import gram_block, make_basis
 from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.model import SflrModel, beta_hat
 from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig, clamped_probs,
@@ -304,14 +304,15 @@ class TestFit:
                     assert res.b[l] == 0.0
 
     def test_interval_norms_match_definition(self):
-        basis, design, _ = _toy_problem(seed=4, n=20, M=6)
         rng = np.random.default_rng(0)
-        b = rng.standard_normal(basis.basis_count)
-        norms = interval_norms(b, design.W_blocks)
-        d = basis.degree
-        ref = [math.sqrt(max(b[j:j + d + 1] @ W @ b[j:j + d + 1], 0.0))
-               for j, W in enumerate(design.W_blocks)]
-        np.testing.assert_allclose(norms, ref, atol=1e-14)
+        for M, d in ((6, 3), (1, 3), (1, 1), (1, 5), (6, 1), (6, 5)):
+            W_blocks = gram_block(make_basis(1.0, d, M), 0)
+            b = rng.standard_normal(M + d)
+            norms = interval_norms(b, W_blocks)
+            ref = [math.sqrt(max(b[j:j + d + 1] @ W @ b[j:j + d + 1], 0.0))
+                   for j, W in enumerate(W_blocks)]
+            assert norms.shape == (M,)
+            np.testing.assert_allclose(norms, ref, atol=1e-14)
 
     def test_sparsity_weakly_monotone_in_lambda(self):
         basis, design, y = _toy_problem(seed=5, n=300, M=10)

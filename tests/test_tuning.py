@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from sflr import solver, tuning
 from sflr.basis import make_basis
-from sflr.design import FunctionalDataset
-from sflr.solver import FitResult, SolverConfig
-from sflr.tuning import (TuningGrid, score_ic, score_table_csv,
-                         stratified_folds, tune)
+from sflr.design import FunctionalDataset, build_design
+from sflr.solver import PROB_CLAMP, FitResult, SolverConfig, clamped_probs, fit
+from sflr.tuning import TuningGrid, score_ic, stratified_folds, tune
 
 
 def _fit_result(loglik=-50.0, df=3.0, converged=True):
@@ -147,11 +147,108 @@ class TestTune:
         with pytest.raises(ValueError, match="label"):
             tune(data, basis, grid, cfg)
 
-    def test_score_table_csv_format(self, setup):
+    def _recording_fit(self, monkeypatch):
+        """Record every fit tune makes, with its arguments."""
+        calls = []
+
+        def recording(*args, **kwargs):
+            res = fit(*args, **kwargs)
+            calls.append((args, res))
+            return res
+
+        monkeypatch.setattr(tuning, "fit", recording)
+        return calls
+
+    @staticmethod
+    def _assert_same_fit(res, ref):
+        for name in ("b", "null_mask", "objective_trace"):
+            assert np.array_equal(getattr(res, name), getattr(ref, name))
+        for name in ("alpha", "iterations", "converged", "df", "loglik",
+                     "final_objective"):
+            assert getattr(res, name) == getattr(ref, name), name
+
+    def test_bic_matches_unshared_fits(self, setup, monkeypatch):
+        # lambda = 0 reports the initial fit's iterations and convergence
         data, basis, cfg = setup
-        grid = TuningGrid(lambdas=(1.0, 2.0), gammas=(1e-3,), criterion="bic")
+        grid = TuningGrid(lambdas=(0.0, 0.5, 2.0, 8.0), gammas=(1e-2, 1e-4),
+                          criterion="bic")
+        calls = self._recording_fit(monkeypatch)
         result = tune(data, basis, grid, cfg)
-        text = score_table_csv(result)
-        lines = text.strip().splitlines()
-        assert lines[0] == "lambda,gamma,criterion,score,converged"
-        assert len(lines) == 3
+        assert len(calls) == 8
+        design = build_design(data, basis, cfg.m)
+        y = data.labels.astype(np.float64)
+        for (args, res), row in zip(calls, result.table):
+            ref = fit(design.U, y, basis, design, args[4])
+            self._assert_same_fit(res, ref)
+            assert (row["lambda"], row["gamma"]) == (ref.lam, ref.gamma)
+            assert row["score"] == score_ic(ref, data.n_samples, "bic")
+        best = [res for _, res in calls
+                if (res.lam, res.gamma) == (result.best_lambda,
+                                            result.best_gamma)]
+        self._assert_same_fit(result.best_fit, best[0])
+
+    def test_cv_matches_unshared_fits(self, setup, monkeypatch):
+        data, basis, cfg = setup
+        grid = TuningGrid(lambdas=(0.0, 1.0, 4.0), gammas=(1e-3, 1e-2),
+                          criterion="cv", folds=4, seed=5)
+        calls = self._recording_fit(monkeypatch)
+        result = tune(data, basis, grid, cfg)
+        assert len(calls) == 6 * 4
+        design = build_design(data, basis, cfg.m)
+        y = data.labels.astype(np.float64)
+        folds = stratified_folds(data.labels, 4, 5)
+        for i, row in enumerate(result.table):
+            losses = []
+            for k, val_idx in enumerate(folds):
+                train = np.ones(y.size, dtype=bool)
+                train[val_idx] = False
+                args, res = calls[4 * i + k]
+                ref = fit(design.U[train], y[train], basis, design, args[4])
+                self._assert_same_fit(res, ref)
+                p = clamped_probs(ref.alpha + design.U[val_idx] @ ref.b,
+                                  PROB_CLAMP)
+                yv = y[val_idx]
+                losses.append(float(np.mean(
+                    -2.0 * (yv * np.log(p) + (1 - yv) * np.log1p(-p)))))
+            assert row["score"] == float(np.mean(losses))
+
+    @pytest.mark.parametrize("criterion, folds", [("bic", 5), ("aic", 5),
+                                                  ("cv", 3)])
+    def test_initial_fit_runs_once_per_gamma_and_fold(self, setup,
+                                                      monkeypatch,
+                                                      criterion, folds):
+        data, basis, cfg = setup
+        gammas = []
+        real = solver.fit_initial
+
+        def counting(U, y, V_star, config):
+            gammas.append(config.gamma)
+            return real(U, y, V_star, config)
+
+        monkeypatch.setattr(tuning, "fit_initial", counting)
+        monkeypatch.setattr(solver, "fit_initial", counting)
+        grid = TuningGrid(lambdas=(0.0, 1.0, 4.0), gammas=(1e-3, 1e-2, 1e-3),
+                          criterion=criterion, folds=folds)
+        tune(data, basis, grid, cfg)
+        n_splits = folds if criterion == "cv" else 1
+        assert sorted(gammas) == [1e-3] * n_splits + [1e-2] * n_splits
+
+    @pytest.mark.parametrize("criterion", ["bic", "cv"])
+    def test_failed_initial_fit_scores_its_pairs_inf(self, setup, monkeypatch,
+                                                     criterion):
+        data, basis, cfg = setup
+        real = solver.fit_initial
+
+        def failing(U, y, V_star, config):
+            if config.gamma == 1e-2:
+                raise np.linalg.LinAlgError("non-finite Newton system")
+            return real(U, y, V_star, config)
+
+        monkeypatch.setattr(tuning, "fit_initial", failing)
+        monkeypatch.setattr(solver, "fit_initial", failing)
+        grid = TuningGrid(lambdas=(1.0, 4.0), gammas=(1e-3, 1e-2),
+                          criterion=criterion, folds=3)
+        result = tune(data, basis, grid, cfg)
+        assert [row["score"] == math.inf for row in result.table] == \
+            [False, True, False, True]
+        assert result.best_gamma == 1e-3
