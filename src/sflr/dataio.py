@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
 from pathlib import Path
@@ -108,19 +109,25 @@ def _read_cells(path: Path, text: str) -> FunctionalDataset:
                              labels=np.array(labels, dtype=np.int64))
 
 
-def _one_row_lines(text: str) -> list[str] | None:
-    """The nonempty, non-comment lines of ``text``, or None unless csv
-    reads each line as one row and loadtxt reads its cells as float() does."""
-    text = text.replace("\r\n", "\n")
-    if "\r" in text:  # csv ends a row at a lone '\r' too
-        return None
-    lines = [ln for ln in text.split("\n") if ln and not _is_comment(ln)]
-    if any(c in ln for ln in lines for c in _LOADTXT_UNSAFE):
-        return None
-    if '"' in text and not all(_ONE_ROW_LINE.fullmatch(ln)
-                               for ln in lines if '"' in ln):
-        return None
-    return lines
+class _NotOneRow(ValueError):
+    """A line that csv may not read as one row, or whose cells loadtxt may
+    not read as float() does."""
+
+
+def _checked_lines(fh):
+    """The nonempty, non-comment lines of ``fh`` without their line ends;
+    _NotOneRow at the first line that csv and loadtxt may read differently
+    from the per-cell reader. ``fh`` is opened with newline=""."""
+    for line in fh:
+        line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
+        if "\r" in line:  # csv ends a row at a lone '\r' too
+            raise _NotOneRow
+        if not line or _is_comment(line):
+            continue
+        if any(c in line for c in _LOADTXT_UNSAFE) \
+                or ('"' in line and not _ONE_ROW_LINE.fullmatch(line)):
+            raise _NotOneRow
+        yield line
 
 
 def _label_cell(cell: str) -> float:
@@ -134,18 +141,34 @@ def _label_cell(cell: str) -> float:
     return value
 
 
-def _read_table(grid: np.ndarray, lines: list[str]) -> FunctionalDataset | None:
-    """The data lines parsed in one np.loadtxt pass, or None when any line
-    is not well formed; the per-cell reader then names the fault."""
+def _read_table(path: Path) -> FunctionalDataset | None:
+    """The file parsed in one pass, its data lines streamed into np.loadtxt,
+    or None when it is not UTF-8 or any line is not well formed; the
+    per-cell reader then names the fault."""
+    n_lines = 0
+
+    def counted(lines):
+        nonlocal n_lines
+        for n_lines, line in enumerate(lines, start=1):
+            yield line
+
     try:
-        table = np.loadtxt(lines, dtype=np.float64, delimiter=",",
-                           comments=None, quotechar='"',
-                           converters={0: _label_cell}, ndmin=2)
-    except ValueError:
+        with path.open(encoding="utf-8", newline="") as fh:
+            lines = _checked_lines(fh)
+            grid = _parse_header(next(csv.reader([next(lines)])))
+            first = next(lines)  # loadtxt warns on a file without data rows
+            table = np.loadtxt(counted(itertools.chain([first], lines)),
+                               dtype=np.float64, delimiter=",", comments=None,
+                               quotechar='"', converters={0: _label_cell},
+                               ndmin=2)
+    except (StopIteration, ValueError):  # UnicodeDecodeError is a ValueError
         return None
-    labels, values = table[:, 0], np.ascontiguousarray(table[:, 1:])
-    if table.shape != (len(lines), grid.size + 1) \
-            or not np.isfinite(values).all():
+    if table.shape != (n_lines, grid.size + 1):
+        return None
+    labels = table[:, 0].copy()
+    values = np.ascontiguousarray(table[:, 1:])
+    del table  # so that only the copy outlives the copying
+    if not np.isfinite(values).all():
         return None
     if np.isnan(labels).all():
         return FunctionalDataset(grid=grid, values=values)
@@ -158,19 +181,16 @@ def _read_table(grid: np.ndarray, lines: list[str]) -> FunctionalDataset | None:
 def read_dataset(path) -> FunctionalDataset:
     """Read a dataset file; NA labels are allowed only if every label is NA.
 
-    The data rows of a well-formed file are parsed in one np.loadtxt pass.
-    Any other file goes through the per-cell reader, which gives the same
-    values bit for bit and names the first faulty row and column.
+    The file is read line by line and its data rows are parsed in one
+    np.loadtxt pass. Any other file is read again by the per-cell reader,
+    which gives the same values bit for bit and names the first faulty row
+    and column.
     """
     path = Path(path)
-    text = _read_text(path)
-    lines = _one_row_lines(text)
-    if lines is not None and len(lines) > 1:
-        grid = _parse_header(next(csv.reader(lines[:1])))
-        data = _read_table(grid, lines[1:])
-        if data is not None:
-            return data
-    return _read_cells(path, text)
+    data = _read_table(path)
+    if data is None:
+        data = _read_cells(path, _read_text(path))
+    return data
 
 
 def read_curve(path) -> tuple[np.ndarray, np.ndarray]:
@@ -199,18 +219,20 @@ def read_curve(path) -> tuple[np.ndarray, np.ndarray]:
 
 def write_csv(path, header, rows, comment: str | None = None) -> None:
     """Write a CSV file: each line of ``comment`` as a '# ' line, then the
-    header cells and one line per row. Cells are written with ``str``, so a
-    float keeps its shortest round-trip form."""
-    lines = [f"# {ln}" for ln in comment.splitlines()] if comment else []
-    lines.append(",".join(map(str, header)))
-    lines.extend(",".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header cells and one line per row, each written as it is formatted.
+    Cells are written with ``str``, so a float keeps its shortest round-trip
+    form."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if comment:
+            fh.writelines(f"# {ln}\n" for ln in comment.splitlines())
+        fh.write(",".join(map(str, header)) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_dataset(path, data: FunctionalDataset, comment: str | None = None) -> None:
-    """Write a dataset file; unlabeled rows get NA labels."""
+    """Write a dataset file, one row at a time; unlabeled rows get NA labels."""
     labels = (["NA"] * data.n_samples if data.labels is None
               else [int(lab) for lab in data.labels.tolist()])
     write_csv(path, ["t", *data.grid.tolist()],
-              ([lab, *row] for lab, row in zip(labels, data.values.tolist())),
+              ([lab, *row.tolist()] for lab, row in zip(labels, data.values)),
               comment)

@@ -101,6 +101,8 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
     failing grid points score +inf instead of raising. The roughness-only
     initial fit depends on gamma and the training rows alone, so it runs
     once per gamma (per fold for CV) and starts the fit of every lambda.
+    CV with more folds than the larger class has curves is a DataError, as
+    some fold would hold out no curve.
     """
     if data.labels is None:
         raise ValueError("tuning requires labeled data")
@@ -112,8 +114,15 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
     U, y = design.U, labels.astype(np.float64)
     pairs = [(lam, gam) for lam in grid.lambdas for gam in grid.gammas]
     if grid.criterion == "cv":
+        folds = stratified_folds(labels, grid.folds, grid.seed)
+        n_empty = sum(f.size == 0 for f in folds)
+        if n_empty:
+            raise DataError(
+                f"CV with {grid.folds} folds leaves {n_empty} of them without "
+                f"held-out curves: the classes have {np.sum(labels == 0)} "
+                f"and {np.sum(labels == 1)} curves")
         splits = []
-        for val_idx in stratified_folds(labels, grid.folds, grid.seed):
+        for val_idx in folds:
             train_mask = np.ones(y.size, dtype=bool)
             train_mask[val_idx] = False
             splits.append((U[train_mask], y[train_mask], U[val_idx],

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from sflr import cli
 from sflr.cli import main
-from sflr.dataio import read_dataset
+from sflr.dataio import read_dataset, write_dataset
+from sflr.design import FunctionalDataset
 from sflr.tuning import TuningResult
 
 
@@ -233,6 +234,23 @@ class TestExitCodes:
                      "--gamma-grid", "0", "--intervals", "2",
                      "--out", str(out)]) == 3
         assert "no tuning grid point converged" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_folds_past_class_size_is_2(self, tmp_path, capsys):
+        # 20 curves per class: 25 folds leave 5 without held-out curves
+        data = tmp_path / "two.csv"
+        write_dataset(data, FunctionalDataset(
+            np.linspace(0, 1, 21),
+            np.random.default_rng(0).standard_normal((40, 21)),
+            np.arange(40) % 2))
+        out = tmp_path / "scores.csv"
+        assert _run(["tune", "--data", str(data), "--lambda-grid", "1",
+                     "--gamma-grid", "1e-2", "--criterion", "cv",
+                     "--folds", "25", "--intervals", "5",
+                     "--out", str(out)]) == 2
+        assert "data error: CV with 25 folds leaves 5 of them without " \
+            "held-out curves: the classes have 20 and 20 curves" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

@@ -1,4 +1,5 @@
 """Dataset CSV format: round trips and positional error messages."""
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -183,6 +184,77 @@ def test_mid_line_hash_is_not_a_comment(tmp_path):
     with pytest.raises(DataError, match="row 2, column 3: cannot parse "
                                         "'2.0 # note' as a number"):
         read_dataset(path)
+
+
+# -- streaming: memory, and faults met after earlier lines were parsed ------
+
+@pytest.fixture(scope="module")
+def spectra():
+    """A labeled 2000 x 201 dataset, the size of a dense-spectra study."""
+    rng = np.random.default_rng(5)
+    return FunctionalDataset(np.linspace(0, 1, 201),
+                             rng.standard_normal((2000, 201)),
+                             rng.integers(0, 2, 2000))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_holds_about_one_table(tmp_path, spectra):
+    path = tmp_path / "spectra.csv"
+    write_dataset(path, spectra)
+    peak = _traced_peak(lambda: read_dataset(path))
+    assert peak <= 3 * spectra.values.nbytes
+
+
+def test_write_holds_one_row_at_a_time(tmp_path, spectra):
+    peak = _traced_peak(lambda: write_dataset(tmp_path / "spectra.csv",
+                                              spectra))
+    assert peak <= 0.5 * spectra.values.nbytes
+
+
+def _late_fault(path, fault):
+    """A 200 x 51 labeled file of about 200 kB with ``fault`` in its last
+    row; returns the file's bytes."""
+    rng = np.random.default_rng(3)
+    write_dataset(path, FunctionalDataset(np.linspace(0, 1, 51),
+                                          rng.standard_normal((200, 51)),
+                                          rng.integers(0, 2, 200)))
+    head, last = path.read_bytes()[:-1].rsplit(b"\n", 1)
+    cells = last.split(b",")
+    if fault == "ragged":
+        cells.pop()
+    elif fault == "nan":
+        cells[-1] = b"nan"
+    elif fault == "lone-cr":
+        cells[25] += b"\r"
+    elif fault == "not-utf8":
+        cells[-1] = b"\xff" + cells[-1]
+    return head + b"\n" + b",".join(cells) + b"\n"
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("ragged", r"^row 201: expected 52 cells, got 51$"),
+    ("nan", r"^row 201, column 52: 'nan' is not finite$"),
+    ("lone-cr", r"^row 201: expected 52 cells, got 26$"),
+    ("not-utf8", r"^data file .*late\.csv is not UTF-8 text: byte \d{6} "
+                 r"is 0xff$")])
+def test_late_fault_fails_as_per_cell(tmp_path, fault, message):
+    path = tmp_path / "late.csv"
+    raw = _late_fault(path, fault)
+    assert len(raw) > 2 ** 16
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=message) as err:
+        read_dataset(path)
+    with pytest.raises(DataError) as reference:
+        dataio._read_cells(path, dataio._read_text(path))
+    assert str(err.value) == str(reference.value)
 
 
 # -- property tests: the one-pass reader against the per-cell reader --------

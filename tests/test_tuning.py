@@ -6,6 +6,7 @@ import pytest
 
 from sflr import solver, tuning
 from sflr.basis import make_basis
+from sflr.dataio import DataError
 from sflr.design import FunctionalDataset, build_design
 from sflr.solver import PROB_CLAMP, FitResult, SolverConfig, clamped_probs, fit
 from sflr.tuning import TuningGrid, score_ic, stratified_folds, tune
@@ -145,6 +146,20 @@ class TestTune:
         data = FunctionalDataset(ts, np.zeros((4, 21)))
         grid = TuningGrid(lambdas=(1.0,), gammas=(1e-3,))
         with pytest.raises(ValueError, match="label"):
+            tune(data, basis, grid, cfg)
+
+    def test_cv_fold_without_held_out_curves_raises(self, setup):
+        # 6 folds over 5 curves per class: the sixth fold holds out nothing
+        _, basis, cfg = setup
+        ts = np.linspace(0, 1, 21)
+        data = FunctionalDataset(ts, np.random.default_rng(0)
+                                 .standard_normal((10, 21)),
+                                 np.arange(10) % 2)
+        grid = TuningGrid(lambdas=(1.0,), gammas=(1e-3,), criterion="cv",
+                          folds=6)
+        with pytest.raises(DataError, match=r"^CV with 6 folds leaves 1 of "
+                           r"them without held-out curves: the classes have "
+                           r"5 and 5 curves$"):
             tune(data, basis, grid, cfg)
 
     def _recording_fit(self, monkeypatch):
