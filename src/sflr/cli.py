@@ -8,7 +8,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict, replace as dc_replace
+from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from . import model as model_mod
 from .basis import make_basis
 from .dataio import DataError, read_curve, read_dataset, write_csv, write_dataset
 from .design import FunctionalDataset, build_design
-from .metrics import MetricsReport, classification_metrics, ise, pmse
+from .metrics import classification_metrics, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
 from .simulate import (SCENARIOS, ScenarioSpec, _add_observation_noise,
                        calibrate_alpha, generate_predictors,
@@ -275,8 +275,7 @@ def _cmd_evaluate(args) -> int:
     if test.labels is None:
         raise DataError("evaluate requires labeled test data")
     probs = _predict(model, test)
-    cm = classification_metrics(test.labels, classify(probs))
-    report = MetricsReport(**asdict(cm))
+    report = classification_metrics(test.labels, classify(probs))
 
     if args.true_beta is not None:
         name = args.true_beta.replace("-", "_")

@@ -74,7 +74,13 @@ def _read_cells(path: Path, text: str) -> FunctionalDataset:
     """The per-cell reader: csv rows, one float() per cell, and a DataError
     naming the first faulty row and column."""
     lines = [ln for ln in io.StringIO(text, newline="") if not _is_comment(ln)]
-    rows = [r for r in csv.reader(lines) if r]
+    rows = []
+    try:
+        for row in csv.reader(lines):
+            if row:
+                rows.append(row)
+    except csv.Error as exc:  # a cell longer than csv.field_size_limit()
+        raise DataError(f"row {len(rows) + 1}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows[0]
@@ -110,14 +116,15 @@ def _read_cells(path: Path, text: str) -> FunctionalDataset:
 
 
 class _NotOneRow(ValueError):
-    """A line that csv may not read as one row, or whose cells loadtxt may
-    not read as float() does."""
+    """A line that csv may not read as one row, whose cells loadtxt may
+    not read as float() does, or with a cell longer than csv reads."""
 
 
 def _checked_lines(fh):
     """The nonempty, non-comment lines of ``fh`` without their line ends;
     _NotOneRow at the first line that csv and loadtxt may read differently
     from the per-cell reader. ``fh`` is opened with newline=""."""
+    limit = csv.field_size_limit()
     for line in fh:
         line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
         if "\r" in line:  # csv ends a row at a lone '\r' too
@@ -126,6 +133,9 @@ def _checked_lines(fh):
             continue
         if any(c in line for c in _LOADTXT_UNSAFE) \
                 or ('"' in line and not _ONE_ROW_LINE.fullmatch(line)):
+            raise _NotOneRow
+        # loadtxt has no cell size limit; csv stops at one
+        if len(line) > limit and max(map(len, line.split(","))) > limit:
             raise _NotOneRow
         yield line
 
@@ -161,7 +171,9 @@ def _read_table(path: Path) -> FunctionalDataset | None:
                                dtype=np.float64, delimiter=",", comments=None,
                                quotechar='"', converters={0: _label_cell},
                                ndmin=2)
-    except (StopIteration, ValueError):  # UnicodeDecodeError is a ValueError
+    # UnicodeDecodeError is a ValueError; csv.Error is an over-long header
+    # cell that holds a comma
+    except (StopIteration, ValueError, csv.Error):
         return None
     if table.shape != (n_lines, grid.size + 1):
         return None

@@ -57,7 +57,6 @@ class DesignMatrices:
     U: np.ndarray
     V: np.ndarray
     W_blocks: np.ndarray = field(repr=False)
-    m: int = 2
 
 
 def trapezoid_weights(grid: np.ndarray) -> np.ndarray:
@@ -119,4 +118,4 @@ def compute_V(basis: BSplineBasis, m: int) -> np.ndarray:
 
 def build_design(data: FunctionalDataset, basis: BSplineBasis, m: int = 2) -> DesignMatrices:
     return DesignMatrices(U=compute_U(data, basis), V=compute_V(basis, m),
-                          W_blocks=gram_block(basis, 0), m=m)
+                          W_blocks=gram_block(basis, 0))

@@ -13,21 +13,9 @@ _ISE_POINTS = 2001
 
 
 @dataclass
-class ClassificationMetrics:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    mcr: float | None
-    sensitivity: float | None
-    specificity: float | None
-    fdr: float | None
-    miss_rate: float | None
-
-
-@dataclass
 class MetricsReport:
-    """All criteria for one fitted model; None marks an undefined rate."""
+    """All criteria for one fitted model; None marks an undefined rate or a
+    criterion that was not computed."""
 
     mcr: float | None = None
     sensitivity: float | None = None
@@ -50,8 +38,9 @@ def _rate(num: int, den: int) -> float | None:
     return num / den if den > 0 else None
 
 
-def classification_metrics(y_true, y_pred) -> ClassificationMetrics:
-    """Confusion counts and rates; zero-denominator rates come back as None."""
+def classification_metrics(y_true, y_pred) -> MetricsReport:
+    """Confusion counts and rates; zero-denominator rates come back as None,
+    and so do ``pmse``, ``ise0`` and ``ise1``, which need the true model."""
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
@@ -62,7 +51,7 @@ def classification_metrics(y_true, y_pred) -> ClassificationMetrics:
     fp = int(np.sum((y_true == 0) & (y_pred == 1)))
     tn = int(np.sum((y_true == 0) & (y_pred == 0)))
     fn = int(np.sum((y_true == 1) & (y_pred == 0)))
-    return ClassificationMetrics(
+    return MetricsReport(
         tp=tp, fp=fp, tn=tn, fn=fn,
         mcr=_rate(fp + fn, tp + fp + tn + fn),
         sensitivity=_rate(tp, tp + fn),

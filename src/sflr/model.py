@@ -11,7 +11,7 @@ import numpy as np
 from .basis import BSplineBasis, eval_basis_many, make_basis
 from .dataio import DataError
 from .design import FunctionalDataset, compute_U
-from .solver import PROB_CLAMP, FitResult, clamped_probs
+from .solver import FitResult, clamped_probs
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def beta_hat(model: SflrModel, t) -> float | np.ndarray:
 def predict_proba(model: SflrModel, newdata: FunctionalDataset) -> np.ndarray:
     """Predicted class-1 probabilities for new curves on any in-domain grid."""
     U = compute_U(newdata, model.basis)
-    return clamped_probs(model.fit.alpha + U @ model.fit.b, PROB_CLAMP)
+    return clamped_probs(model.fit.alpha + U @ model.fit.b)
 
 
 def classify(probabilities, threshold: float = 0.5) -> np.ndarray:

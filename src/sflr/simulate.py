@@ -18,10 +18,6 @@ from .tuning import TuningGrid, tune
 
 SCENARIOS = ("one_null", "three_null", "spectra")
 
-REPLICATE_CSV_COLUMNS = ("replicate", "mcr", "sensitivity", "specificity",
-                         "fdr", "miss_rate", "ise0", "ise1", "pmse",
-                         "lambda", "gamma", "converged")
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -221,8 +217,8 @@ def generate_responses(X: FunctionalDataset, beta, alpha: float,
     return labels, p
 
 
-def calibrate_alpha(X: FunctionalDataset, beta, target: float = 0.5) -> float:
-    """Bisect the intercept until the mean response probability hits target."""
+def calibrate_alpha(X: FunctionalDataset, beta) -> float:
+    """Bisect the intercept until the mean response probability is 1/2."""
     eta0 = _linear_predictor(X, beta, 0.0)
 
     def mean_p(alpha):
@@ -231,7 +227,7 @@ def calibrate_alpha(X: FunctionalDataset, beta, target: float = 0.5) -> float:
     lo, hi = -50.0, 50.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mean_p(mid) < target:
+        if mean_p(mid) < 0.5:
             lo = mid
         else:
             hi = mid
@@ -392,15 +388,3 @@ def replicate_experiment(spec: ScenarioSpec, grid: TuningGrid,
         medians[key] = float(np.median(vals)) if vals else None
     return ReplicationResult(rows=rows, medians=medians,
                              n_failed=n_replicates - len(rows))
-
-
-def replicate_table_csv(result: ReplicationResult) -> str:
-    lines = [",".join(REPLICATE_CSV_COLUMNS)]
-    for row in result.rows:
-        cells = []
-        for col in REPLICATE_CSV_COLUMNS:
-            v = row[col]
-            cells.append("" if v is None else repr(v) if isinstance(v, float)
-                         else str(v))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -76,18 +76,19 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * eta))
 
 
-def clamped_probs(eta: np.ndarray, clamp: float) -> np.ndarray:
-    return np.clip(_sigmoid(eta), clamp, 1.0 - clamp)
+def clamped_probs(eta: np.ndarray) -> np.ndarray:
+    return np.clip(_sigmoid(eta), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
-def log_likelihood(b: np.ndarray, alpha: float, U: np.ndarray, y: np.ndarray,
-                   clamp: float) -> float:
-    """Bernoulli log-likelihood with probabilities clamped to [clamp, 1-clamp]."""
+def log_likelihood(b: np.ndarray, alpha: float, U: np.ndarray,
+                   y: np.ndarray) -> float:
+    """Bernoulli log-likelihood with probabilities clamped to
+    [PROB_CLAMP, 1 - PROB_CLAMP]."""
     b = np.asarray(b, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if U.shape[1] != b.size or U.shape[0] != y.size:
         raise ValueError(f"dimension mismatch: U {U.shape}, b {b.size}, y {y.size}")
-    p = clamped_probs(alpha + U @ b, clamp)
+    p = clamped_probs(alpha + U @ b)
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
@@ -110,19 +111,20 @@ def interval_norms(b: np.ndarray, W_blocks: np.ndarray) -> np.ndarray:
 
 
 def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
-                      lam: float, T: float, M: int,
-                      norm_floor: float, pad: int = 0) -> np.ndarray:
-    """Scaled LQA penalty matrix (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]||.
+                      lam: float, T: float, pad: int = 0) -> np.ndarray:
+    """Scaled LQA penalty matrix (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]||,
+    with M = len(W_blocks) subintervals.
 
-    Subinterval norms are floored at ``norm_floor`` so null intervals
+    Subinterval norms are floored at ``_NORM_FLOOR`` so null intervals
     give a large finite weight instead of a division by zero. ``pad``
     leading zero rows and columns are added; 1 gives the
     intercept-augmented W~*.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    coef = 1.0 / np.maximum(interval_norms(b_current, W_blocks), norm_floor)
-    return 0.5 * lam * np.sqrt(T / M) * assemble_blocks(W_blocks, coef, pad)
+    coef = 1.0 / np.maximum(interval_norms(b_current, W_blocks), _NORM_FLOOR)
+    return (0.5 * lam * np.sqrt(T / len(W_blocks))
+            * assemble_blocks(W_blocks, coef, pad))
 
 
 def _pad_penalty(P: np.ndarray) -> np.ndarray:
@@ -148,17 +150,16 @@ def _near_singular(H: np.ndarray) -> bool:
     return bool(pivots.max() > _PIVOT_RATIO_LIMIT * pivots.min())
 
 
-def _likelihood_hessian(theta: np.ndarray, U_aug: np.ndarray,
-                        clamp: float) -> tuple[np.ndarray, np.ndarray]:
+def _likelihood_hessian(theta: np.ndarray,
+                        U_aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamped probabilities p and the Hessian U_aug' diag(p(1-p)) U_aug."""
-    p = clamped_probs(U_aug @ theta, clamp)
+    p = clamped_probs(U_aug @ theta)
     d = p * (1.0 - p)
     return p, U_aug.T @ (d[:, None] * U_aug)
 
 
 def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
-                V_star: np.ndarray, W_tilde_star: np.ndarray,
-                clamp: float) -> np.ndarray:
+                V_star: np.ndarray, W_tilde_star: np.ndarray) -> np.ndarray:
     """One Newton-Raphson update of (alpha, b) on the LQA objective.
 
     ``V_star`` and ``W_tilde_star`` must already be intercept-augmented.
@@ -172,7 +173,7 @@ def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
     if U_aug.shape[1] != theta.size or U_aug.shape[0] != y.size:
         raise ValueError(f"dimension mismatch: U_aug {U_aug.shape}, "
                          f"theta {theta.size}, y {y.size}")
-    p, UDU = _likelihood_hessian(theta, U_aug, clamp)
+    p, UDU = _likelihood_hessian(theta, U_aug)
     H = UDU + V_star + W_tilde_star
     rhs = U_aug.T @ (y - p) - V_star @ theta - W_tilde_star @ theta
     if not np.all(np.isfinite(H)):
@@ -226,7 +227,7 @@ class _ExactObjective:
 
     def __call__(self, theta: np.ndarray) -> float:
         alpha, b = theta[0], theta[1:]
-        ll = log_likelihood(b, alpha, self.U, self.y, PROB_CLAMP)
+        ll = log_likelihood(b, alpha, self.U, self.y)
         return (-ll + 0.5 * self.gamma * (b @ self.V @ b)
                 + 0.5 * self.lam * self.l1(b))
 
@@ -241,8 +242,7 @@ def _descend(theta, U_aug, y, V_star_aug, penalty, objective, config,
     if trace is not None:
         trace.append(obj)
     for it in range(1, config.max_iterations + 1):
-        proposal = newton_step(theta, U_aug, y, V_star_aug, penalty(theta),
-                               PROB_CLAMP)
+        proposal = newton_step(theta, U_aug, y, V_star_aug, penalty(theta))
         step = proposal - theta
         scale, accepted = 1.0, False
         for _ in range(_STEP_HALVING_MAX + 1):
@@ -265,19 +265,21 @@ def _descend(theta, U_aug, y, V_star_aug, penalty, objective, config,
     return theta, False, config.max_iterations
 
 
-def fit_initial(U: np.ndarray, y: np.ndarray, V_star: np.ndarray,
+def fit_initial(U: np.ndarray, y: np.ndarray, V: np.ndarray,
                 config: SolverConfig) -> tuple[np.ndarray, bool, int]:
     """Roughness-penalized logistic fit (sparsity penalty off).
 
-    ``V_star`` is the intercept-augmented gamma*V. Returns the stacked
-    (alpha, b) vector, a convergence flag, and the iteration count.
+    ``V`` is the roughness Gram matrix, weighted by ``config.gamma``.
+    Returns the stacked (alpha, b) vector, a convergence flag, and the
+    iteration count.
     """
     N = U.shape[0]
     U_aug = np.column_stack([np.ones(N), U])
+    V_star = _pad_penalty(config.gamma * V)
     zero_W = np.zeros_like(V_star)
 
     def objective(theta):
-        ll = log_likelihood(theta[1:], theta[0], U, y, PROB_CLAMP)
+        ll = log_likelihood(theta[1:], theta[0], U, y)
         return -ll + 0.5 * theta @ V_star @ theta
 
     theta0 = np.zeros(U_aug.shape[1])
@@ -312,15 +314,15 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     V_star_aug = _pad_penalty(config.gamma * V)
 
     if initial is None:
-        initial = fit_initial(U, y, V_star_aug, config)
+        initial = fit_initial(U, y, V, config)
     theta, conv0, it0 = initial
 
     objective = _ExactObjective(basis, U, y, V, config.gamma, config.lam)
     trace: list[float] = []
     if config.lam > 0.0:
         def lqa_penalty(theta):
-            return lqa_weight_matrix(theta[1:], W_blocks, config.lam, T, M,
-                                     _NORM_FLOOR, pad=1)
+            return lqa_weight_matrix(theta[1:], W_blocks, config.lam, T,
+                                     pad=1)
 
         theta, converged, iters = _descend(theta, U_aug, y, V_star_aug,
                                            lqa_penalty, objective, config,
@@ -351,16 +353,15 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
         b[touched] = 0.0
 
     theta_final = np.concatenate([[alpha], b])
-    _, UDU = _likelihood_hessian(theta_final, U_aug, PROB_CLAMP)
-    Wt_aug = lqa_weight_matrix(b, W_blocks, config.lam, T, M, _NORM_FLOOR,
-                               pad=1)
+    _, UDU = _likelihood_hessian(theta_final, U_aug)
+    Wt_aug = lqa_weight_matrix(b, W_blocks, config.lam, T, pad=1)
     H = UDU + V_star_aug + Wt_aug
     try:
         df = float(np.trace(np.linalg.solve(H, UDU)))
     except np.linalg.LinAlgError:
         df = float(np.trace(np.linalg.lstsq(H, UDU, rcond=None)[0]))
 
-    ll = log_likelihood(b, alpha, U, y, PROB_CLAMP)
+    ll = log_likelihood(b, alpha, U, y)
     return FitResult(b=b, alpha=alpha, null_mask=null_mask,
                      iterations=iters, converged=converged,
                      final_objective=objective(theta_final),

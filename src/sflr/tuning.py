@@ -10,8 +10,7 @@ import numpy as np
 from .basis import BSplineBasis
 from .dataio import DataError
 from .design import DesignMatrices, FunctionalDataset, build_design
-from .solver import (PROB_CLAMP, FitResult, SolverConfig, _pad_penalty,
-                     clamped_probs, fit, fit_initial)
+from .solver import FitResult, SolverConfig, clamped_probs, fit, fit_initial
 
 CRITERIA = ("bic", "aic", "cv")
 
@@ -79,7 +78,7 @@ def _cv_score(splits, starts, basis: BSplineBasis, design: DesignMatrices,
         res = fit(U_t, y_t, basis, design, config, initial=start)
         if not res.converged:
             return math.inf
-        p = clamped_probs(res.alpha + U_v @ res.b, PROB_CLAMP)
+        p = clamped_probs(res.alpha + U_v @ res.b)
         losses.append(_deviance(y_v, p))
     return float(np.mean(losses))
 
@@ -88,7 +87,7 @@ def _initial_fit(U: np.ndarray, y: np.ndarray, V: np.ndarray,
                  config: SolverConfig):
     """``fit_initial`` for ``config.gamma``, or None if it raises."""
     try:
-        return fit_initial(U, y, _pad_penalty(config.gamma * V), config)
+        return fit_initial(U, y, V, config)
     except (ValueError, np.linalg.LinAlgError):
         return None
 

@@ -119,25 +119,23 @@ def test_gradient_and_hessian_match_finite_differences():
     rng = np.random.default_rng(BASE_SEED)
     basis, design, y = _simulated_problem(BASE_SEED + 1, n=150, M=8)
     L = basis.basis_count
-    clamp = 1e-5
     U_aug = np.column_stack([np.ones(y.size), design.U])
     # frozen quadratic-approximation penalty around a reference coefficient
     b_ref = rng.standard_normal(L)
-    Wt = lqa_weight_matrix(b_ref, design.W_blocks, 2.0, 1.0,
-                           basis.interior_interval_count, 1e-8)
+    Wt = lqa_weight_matrix(b_ref, design.W_blocks, 2.0, 1.0)
     P = np.zeros((L + 1, L + 1))
     P[1:, 1:] = 1e-3 * design.V + Wt
 
     def objective(theta):
-        ll = log_likelihood(theta[1:], theta[0], design.U, y, clamp)
+        ll = log_likelihood(theta[1:], theta[0], design.U, y)
         return -ll + 0.5 * theta @ P @ theta
 
     def grad(theta):
-        p = clamped_probs(U_aug @ theta, clamp)
+        p = clamped_probs(U_aug @ theta)
         return -U_aug.T @ (y - p) + P @ theta
 
     def hess(theta):
-        p = clamped_probs(U_aug @ theta, clamp)
+        p = clamped_probs(U_aug @ theta)
         d = p * (1.0 - p)
         return U_aug.T @ (d[:, None] * U_aug) + P
 

@@ -147,6 +147,30 @@ def test_tune_score_file_bytes(sim_files, tmp_path, monkeypatch):
         b"8.0,0.0001,bic,inf,False\n")
 
 
+def test_evaluate_metrics_file_bytes(tmp_path):
+    # a model that puts every curve in class 0, so the false discovery rate
+    # is undefined, scored against beta = 0 with the model's own intercept
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "domain": [0.0, 1.0], "degree": 3, "M": 2, "b": [0.0] * 5,
+        "alpha": -5.0, "null_mask": [False, False], "lambda": 1.0,
+        "gamma": 0.001, "m": 2}))
+    test = tmp_path / "test.csv"
+    test.write_text("t,0.0,0.5,1.0\n1,1.0,-2.0,3.0\n0,0.5,0.5,0.5\n"
+                    "0,-1.0,0.0,1.0\n")
+    beta = tmp_path / "beta.csv"
+    beta.write_text("t,beta\n0.0,0.0\n1.0,0.0\n")
+    out = tmp_path / "metrics.json"
+    assert _run(["evaluate", "--model", str(model), "--test", str(test),
+                 "--true-beta", str(beta), "--true-alpha", "-5",
+                 "--null-regions", "0.2:0.4", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b'{\n  "mcr": 0.3333333333333333,\n  "sensitivity": 0.0,\n'
+        b'  "specificity": 1.0,\n  "fdr": null,\n  "miss_rate": 1.0,\n'
+        b'  "pmse": 0.0,\n  "ise0": 0.0,\n  "ise1": 0.0,\n  "tp": 0,\n'
+        b'  "fp": 0,\n  "tn": 2,\n  "fn": 1\n}\n')
+
+
 def test_bic_and_aic_select_same_pair_on_reference_seed(sim_files, tmp_path):
     _, prefix = sim_files
     pairs = {}
@@ -412,6 +436,16 @@ class TestExitCodes:
         assert _run([command, *args[command], "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"data file {bad} is not UTF-8 text: byte 25 is 0xe9" in err
+        assert not out.exists()
+
+    def test_over_long_cell_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "long.csv"
+        bad.write_text("t,0.0,1.0\n1," + "a" * 200_001 + ",2.0\n0,1.0,2.0\n")
+        out = tmp_path / "m.json"
+        assert _run(["fit", "--data", str(bad), "--lambda", "1.0",
+                     "--gamma", "1.0", "--out", str(out)]) == 2
+        assert "data error: row 2: field larger than field limit" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_data_path_is_a_directory_is_2(self, tmp_path, capsys):

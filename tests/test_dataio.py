@@ -1,4 +1,5 @@
 """Dataset CSV format: round trips and positional error messages."""
+import csv
 import tracemalloc
 from unittest import mock
 
@@ -390,3 +391,36 @@ def test_one_faulty_row_fails_as_per_cell(tmp_path, data, pick, fault,
     assert str(err.value) == str(reference.value)
     if not fault.startswith("label-"):
         assert str(err.value).startswith(f"row {row + 1}")
+
+
+# -- cells longer than csv reads ---------------------------------------------
+
+@pytest.mark.parametrize("text, row", [
+    ("t,0.0,1.0\n1," + "a" * 200_001 + ",2.0\n", 2),
+    ("t," + "1" * 200_001 + ",2.0\n1,1.0,2.0\n", 1),
+    # finite, so np.loadtxt alone would read it
+    ("t,0.0,1.0\n1,0." + "0" * 140_000 + "1,2.0\n", 2),
+    # no piece between commas is over the limit, but the quoted cell is
+    ('t,"' + "1," * 70_000 + '",2.0\n1,1.0,2.0\n', 1),
+], ids=["data", "header", "finite", "quoted-header"])
+def test_over_long_cell_fails_as_per_cell(tmp_path, text, row):
+    path = _write(tmp_path, text)
+    with pytest.raises(DataError) as err:
+        read_dataset(path)
+    with pytest.raises(DataError) as reference:
+        dataio._read_cells(path, text)
+    assert str(err.value) == str(reference.value) == (
+        f"row {row}: field larger than field limit "
+        f"({csv.field_size_limit()})")
+
+
+def test_long_lines_of_short_cells_take_the_one_pass_reader(tmp_path):
+    rng = np.random.default_rng(8)
+    data = FunctionalDataset(np.linspace(0, 1, 10_000),
+                             rng.standard_normal((3, 10_000)), [0, 1, 1])
+    path = tmp_path / "wide.csv"
+    write_dataset(path, data)
+    assert min(map(len, path.read_text().splitlines())) > \
+        csv.field_size_limit()
+    with _per_cell_reader_unused():
+        assert _bits(read_dataset(path)) == _bits(data)

@@ -164,4 +164,3 @@ def test_build_design_shapes(cubic):
     assert design.U.shape == (7, L)
     assert design.V.shape == (L, L)
     assert len(design.W_blocks) == 30
-    assert design.m == 2

@@ -12,7 +12,7 @@ from sflr.dataio import DataError
 from sflr.design import FunctionalDataset, build_design
 from sflr.model import (SflrModel, beta_hat, classify, null_regions,
                         predict_proba)
-from sflr.solver import PROB_CLAMP, FitResult, SolverConfig, clamped_probs, fit
+from sflr.solver import FitResult, SolverConfig, clamped_probs, fit
 
 
 def _make_model(b, alpha=0.0, null_mask=None, M=30, degree=3):
@@ -87,7 +87,7 @@ class TestPredictProba:
         cfg = SolverConfig(lam=1.0, gamma=1e-3)
         res = fit(design.U, y, basis, design, cfg)
         m = SflrModel(basis=basis, fit=res, training_grid=ts, m=2)
-        ref = clamped_probs(res.alpha + design.U @ res.b, PROB_CLAMP)
+        ref = clamped_probs(res.alpha + design.U @ res.b)
         np.testing.assert_allclose(predict_proba(m, data), ref, atol=1e-10)
 
 

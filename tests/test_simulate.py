@@ -11,7 +11,7 @@ from sflr.simulate import (NULL_REGIONS, ScenarioSpec, beta_one_null,
                            default_tuning_grid, generate_predictors,
                            generate_responses, interval_count_rule,
                            posterior_mean_curves, replicate_experiment,
-                           replicate_table_csv, run_replicate, spectra_means,
+                           run_replicate, spectra_means,
                            true_beta)
 from sflr.solver import SolverConfig
 from sflr.tuning import TuningGrid
@@ -253,14 +253,6 @@ class TestReplicationHarness:
                                        fixed_params=(1.0, 1e-4))
         assert res.n_failed == 2
         assert res.rows == [] and res.medians["mcr"] is None
-
-    def test_csv_columns(self, small_run):
-        text = replicate_table_csv(small_run)
-        header = text.splitlines()[0].split(",")
-        assert header == ["replicate", "mcr", "sensitivity", "specificity",
-                          "fdr", "miss_rate", "ise0", "ise1", "pmse",
-                          "lambda", "gamma", "converged"]
-        assert len(text.strip().splitlines()) == 4
 
     def test_run_replicate_row_contract(self):
         spec = ScenarioSpec("one_null", n_train=80, n_test=50, seed=13)

@@ -8,7 +8,7 @@ from sflr import solver, tuning
 from sflr.basis import make_basis
 from sflr.dataio import DataError
 from sflr.design import FunctionalDataset, build_design
-from sflr.solver import PROB_CLAMP, FitResult, SolverConfig, clamped_probs, fit
+from sflr.solver import FitResult, SolverConfig, clamped_probs, fit
 from sflr.tuning import TuningGrid, score_ic, stratified_folds, tune
 
 
@@ -220,8 +220,7 @@ class TestTune:
                 args, res = calls[4 * i + k]
                 ref = fit(design.U[train], y[train], basis, design, args[4])
                 self._assert_same_fit(res, ref)
-                p = clamped_probs(ref.alpha + design.U[val_idx] @ ref.b,
-                                  PROB_CLAMP)
+                p = clamped_probs(ref.alpha + design.U[val_idx] @ ref.b)
                 yv = y[val_idx]
                 losses.append(float(np.mean(
                     -2.0 * (yv * np.log(p) + (1 - yv) * np.log1p(-p)))))
@@ -236,9 +235,9 @@ class TestTune:
         gammas = []
         real = solver.fit_initial
 
-        def counting(U, y, V_star, config):
+        def counting(U, y, V, config):
             gammas.append(config.gamma)
-            return real(U, y, V_star, config)
+            return real(U, y, V, config)
 
         monkeypatch.setattr(tuning, "fit_initial", counting)
         monkeypatch.setattr(solver, "fit_initial", counting)
@@ -254,10 +253,10 @@ class TestTune:
         data, basis, cfg = setup
         real = solver.fit_initial
 
-        def failing(U, y, V_star, config):
+        def failing(U, y, V, config):
             if config.gamma == 1e-2:
                 raise np.linalg.LinAlgError("non-finite Newton system")
-            return real(U, y, V_star, config)
+            return real(U, y, V, config)
 
         monkeypatch.setattr(tuning, "fit_initial", failing)
         monkeypatch.setattr(solver, "fit_initial", failing)
