@@ -168,6 +168,9 @@ def _labeled_basis(args):
     data = read_dataset(args.data)
     if data.labels is None:
         raise DataError(f"{args.command} requires labeled data")
+    if data.n_samples < 2:
+        raise DataError(f"{args.command} needs at least 2 curves, "
+                        f"got {data.n_samples}")
     M = (interval_count_rule(data.n_points) if args.intervals == "auto"
          else args.intervals)
     return data, M, make_basis(float(data.grid[-1]), args.degree, M)
@@ -245,15 +248,18 @@ def _cmd_simulate(args) -> int:
                         snr=args.snr, seed=args.seed)
     rng = np.random.default_rng(spec.seed)
     beta, _ = true_beta(scenario)
-    comment = (f"scenario={args.scenario} seed={args.seed} snr={args.snr} "
-               f"n_train={args.n_train} n_test={args.n_test}")
+    alpha = spec.alpha_true
 
     clean_spec = spec if spec.snr is None else dc_replace(spec, snr=None)
     for name, n in (("train", spec.n_train), ("test", spec.n_test)):
         clean = generate_predictors(clean_spec, n, rng)
-        alpha = spec.alpha_true
-        if scenario == "spectra":
+        if scenario == "spectra" and name == "train":
+            # one intercept for both files, from the clean training curves,
+            # as run_replicate draws its labels
             alpha = calibrate_alpha(clean, beta)
+        comment = (f"scenario={args.scenario} seed={args.seed} "
+                   f"snr={args.snr} n_train={args.n_train} "
+                   f"n_test={args.n_test} alpha={alpha!r}")
         y, _ = generate_responses(clean, beta, alpha, rng)
         values = clean.values
         if spec.snr is not None:

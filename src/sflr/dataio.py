@@ -8,7 +8,6 @@ import csv
 import io
 import itertools
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +21,6 @@ class DataError(ValueError):
     missing, malformed or inconsistent field)."""
 
 
-# A line that csv reads as exactly one row: every cell is either wholly
-# quoted, with "" as the escaped quote, or unquoted and not starting with a
-# quote (csv and loadtxt both keep a later quote as a literal character).
-_CELL = r'(?:"(?:[^"]|"")*"|(?:[^,"][^,]*)?)'
-_ONE_ROW_LINE = re.compile(f"{_CELL}(?:,{_CELL})*")
 # Characters on which np.loadtxt and float() may disagree: loadtxt strips
 # '\x1c'-'\x1f' around a number and float() does not; NUL is kept out too.
 _LOADTXT_UNSAFE = "\x00\x1c\x1d\x1e\x1f"
@@ -116,14 +110,15 @@ def _read_cells(path: Path, text: str) -> FunctionalDataset:
 
 
 class _NotOneRow(ValueError):
-    """A line that csv may not read as one row, whose cells loadtxt may
-    not read as float() does, or with a cell longer than csv reads."""
+    """A line that holds a quote, whose cells loadtxt may not read as
+    float() does, or with a cell longer than csv reads."""
 
 
 def _checked_lines(fh):
     """The nonempty, non-comment lines of ``fh`` without their line ends;
     _NotOneRow at the first line that csv and loadtxt may read differently
-    from the per-cell reader. ``fh`` is opened with newline=""."""
+    from the per-cell reader. ``write_csv`` never quotes, so a line with a
+    quote goes to the per-cell reader. ``fh`` is opened with newline=""."""
     limit = csv.field_size_limit()
     for line in fh:
         line = line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
@@ -131,8 +126,7 @@ def _checked_lines(fh):
             raise _NotOneRow
         if not line or _is_comment(line):
             continue
-        if any(c in line for c in _LOADTXT_UNSAFE) \
-                or ('"' in line and not _ONE_ROW_LINE.fullmatch(line)):
+        if '"' in line or any(c in line for c in _LOADTXT_UNSAFE):
             raise _NotOneRow
         # loadtxt has no cell size limit; csv stops at one
         if len(line) > limit and max(map(len, line.split(","))) > limit:
@@ -165,15 +159,12 @@ def _read_table(path: Path) -> FunctionalDataset | None:
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             lines = _checked_lines(fh)
-            grid = _parse_header(next(csv.reader([next(lines)])))
+            grid = _parse_header(next(lines).split(","))
             first = next(lines)  # loadtxt warns on a file without data rows
             table = np.loadtxt(counted(itertools.chain([first], lines)),
                                dtype=np.float64, delimiter=",", comments=None,
-                               quotechar='"', converters={0: _label_cell},
-                               ndmin=2)
-    # UnicodeDecodeError is a ValueError; csv.Error is an over-long header
-    # cell that holds a comma
-    except (StopIteration, ValueError, csv.Error):
+                               converters={0: _label_cell}, ndmin=2)
+    except (StopIteration, ValueError):  # UnicodeDecodeError is a ValueError
         return None
     if table.shape != (n_lines, grid.size + 1):
         return None

@@ -13,7 +13,10 @@ this iteration descends is therefore
     -loglik + (gamma/2) * b'Vb + (lambda/2) * integral |beta|,
 
 which is what step-halving monitors (``objective_trace``) and what
-``final_objective`` reports at the thresholded coefficients.
+``final_objective`` reports at the thresholded coefficients. The initial
+lambda = 0 fit descends the same function with its L1 term off; one
+``_Objective`` holds it, with the [1, U] design and the padded V* that both
+descents' Newton steps use.
 """
 from __future__ import annotations
 
@@ -127,14 +130,6 @@ def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
             * assemble_blocks(W_blocks, coef, pad))
 
 
-def _pad_penalty(P: np.ndarray) -> np.ndarray:
-    """Augment a penalty matrix with a zero row/column for the intercept slot."""
-    L = P.shape[0]
-    out = np.zeros((L + 1, L + 1))
-    out[1:, 1:] = P
-    return out
-
-
 def _near_singular(H: np.ndarray) -> bool:
     """True when the Cholesky factorization H = R'R of the symmetric PSD H
     fails, or when the ratio of R's largest to smallest pivot exceeds
@@ -208,41 +203,52 @@ def _l1_quadrature(T: float, degree: int, M: int) -> tuple[np.ndarray,
     return weights, E
 
 
-class _ExactObjective:
-    """Exact penalized objective used for step acceptance.
+class _Objective:
+    """The penalized objective that both descents minimise, and the arrays
+    their Newton steps share.
 
-    -loglik + (gamma/2) b'Vb + (lambda/2) * integral |beta|, the Lyapunov
-    function of the LQA Newton iteration. The L1 integral uses 20-node
-    Gauss-Legendre per subinterval.
+    -loglik + (1/2) theta' V* theta + (lambda/2) * integral |beta| at
+    theta = (alpha, b), where V* = gamma*V padded with a zero row and
+    column for the intercept, so the middle term is (gamma/2) b'Vb. The L1
+    integral uses 20-node Gauss-Legendre per subinterval of ``basis`` and
+    is left out at lambda = 0. ``U_aug`` is [1, U].
     """
 
-    def __init__(self, basis: BSplineBasis, U, y, V, gamma, lam):
+    def __init__(self, U, y, V, gamma, lam=0.0,
+                 basis: BSplineBasis | None = None):
         self.U, self.y = U, np.asarray(y, dtype=np.float64)
-        self.V, self.gamma, self.lam = V, gamma, lam
-        self._l1_w, self._l1_E = _l1_quadrature(
-            basis.domain_end, basis.degree, basis.interior_interval_count)
+        self.U_aug = np.column_stack([np.ones(U.shape[0]), U])
+        self.V_star = np.zeros((V.shape[0] + 1,) * 2)
+        self.V_star[1:, 1:] = gamma * V
+        self.lam = lam
+        if lam > 0.0:
+            self._l1_w, self._l1_E = _l1_quadrature(
+                basis.domain_end, basis.degree,
+                basis.interior_interval_count)
 
     def l1(self, b: np.ndarray) -> float:
         return float(self._l1_w @ np.abs(self._l1_E @ b))
 
     def __call__(self, theta: np.ndarray) -> float:
-        alpha, b = theta[0], theta[1:]
-        ll = log_likelihood(b, alpha, self.U, self.y)
-        return (-ll + 0.5 * self.gamma * (b @ self.V @ b)
-                + 0.5 * self.lam * self.l1(b))
+        ll = log_likelihood(theta[1:], theta[0], self.U, self.y)
+        value = -ll + 0.5 * theta @ self.V_star @ theta
+        if self.lam > 0.0:
+            value += 0.5 * self.lam * self.l1(theta[1:])
+        return value
 
 
-def _descend(theta, U_aug, y, V_star_aug, penalty, objective, config,
-             trace=None):
-    """Newton iterations with step-halving; returns (theta, converged, iters).
+def _descend(theta, objective, penalty, config, trace=None):
+    """Newton iterations with step-halving on ``objective``; returns
+    (theta, converged, iters).
 
     ``penalty(theta)`` gives the intercept-augmented W~* of each step.
     """
+    U_aug, y, V_star = objective.U_aug, objective.y, objective.V_star
     obj = objective(theta)
     if trace is not None:
         trace.append(obj)
     for it in range(1, config.max_iterations + 1):
-        proposal = newton_step(theta, U_aug, y, V_star_aug, penalty(theta))
+        proposal = newton_step(theta, U_aug, y, V_star, penalty(theta))
         step = proposal - theta
         scale, accepted = 1.0, False
         for _ in range(_STEP_HALVING_MAX + 1):
@@ -273,18 +279,10 @@ def fit_initial(U: np.ndarray, y: np.ndarray, V: np.ndarray,
     Returns the stacked (alpha, b) vector, a convergence flag, and the
     iteration count.
     """
-    N = U.shape[0]
-    U_aug = np.column_stack([np.ones(N), U])
-    V_star = _pad_penalty(config.gamma * V)
-    zero_W = np.zeros_like(V_star)
-
-    def objective(theta):
-        ll = log_likelihood(theta[1:], theta[0], U, y)
-        return -ll + 0.5 * theta @ V_star @ theta
-
-    theta0 = np.zeros(U_aug.shape[1])
-    return _descend(theta0, U_aug, y, V_star, lambda theta: zero_W,
-                    objective, config)
+    objective = _Objective(U, y, V, config.gamma)
+    zero_W = np.zeros_like(objective.V_star)
+    return _descend(np.zeros(objective.U_aug.shape[1]), objective,
+                    lambda theta: zero_W, config)
 
 
 def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
@@ -310,23 +308,20 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     M = basis.interior_interval_count
     V = design.V
     W_blocks = design.W_blocks
-    U_aug = np.column_stack([np.ones(N), U])
-    V_star_aug = _pad_penalty(config.gamma * V)
 
     if initial is None:
         initial = fit_initial(U, y, V, config)
     theta, conv0, it0 = initial
 
-    objective = _ExactObjective(basis, U, y, V, config.gamma, config.lam)
+    objective = _Objective(U, y, V, config.gamma, config.lam, basis)
     trace: list[float] = []
     if config.lam > 0.0:
         def lqa_penalty(theta):
             return lqa_weight_matrix(theta[1:], W_blocks, config.lam, T,
                                      pad=1)
 
-        theta, converged, iters = _descend(theta, U_aug, y, V_star_aug,
-                                           lqa_penalty, objective, config,
-                                           trace)
+        theta, converged, iters = _descend(theta, objective, lqa_penalty,
+                                           config, trace)
     else:
         # no sparsity penalty: the initialization already solved the problem
         converged, iters = conv0, it0
@@ -353,9 +348,9 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
         b[touched] = 0.0
 
     theta_final = np.concatenate([[alpha], b])
-    _, UDU = _likelihood_hessian(theta_final, U_aug)
+    _, UDU = _likelihood_hessian(theta_final, objective.U_aug)
     Wt_aug = lqa_weight_matrix(b, W_blocks, config.lam, T, pad=1)
-    H = UDU + V_star_aug + Wt_aug
+    H = UDU + objective.V_star + Wt_aug
     try:
         df = float(np.trace(np.linalg.solve(H, UDU)))
     except np.linalg.LinAlgError:

@@ -15,6 +15,7 @@ from sflr import cli
 from sflr.cli import main
 from sflr.dataio import read_dataset, write_dataset
 from sflr.design import FunctionalDataset
+from sflr.simulate import beta_spectra, calibrate_alpha
 from sflr.tuning import TuningResult
 
 
@@ -66,6 +67,22 @@ def test_simulate_snr_adds_noise_to_clean_curves(sim_files, tmp_path):
     np.testing.assert_array_equal(noisy.labels, clean.labels)
     noise_sd = (noisy.values - clean.values).std()
     assert noise_sd == pytest.approx(clean.values.std(), rel=0.05)
+
+
+def test_simulate_spectra_files_share_one_recorded_intercept(tmp_path):
+    prefix = str(tmp_path / "spec")
+    assert _run(["simulate", "--scenario", "spectra", "--n-train", "60",
+                 "--n-test", "40", "--seed", "7", "--out-prefix", prefix]) == 0
+    alphas = []
+    for name in ("train", "test", "beta"):
+        with open(f"{prefix}_{name}.csv") as fh:
+            first = fh.readline()
+        assert first.startswith("# ") and first.count(" alpha=") == 1
+        alphas.append(first.split(" alpha=")[1].split()[0])
+    assert alphas[0] == alphas[1] == alphas[2]
+    # calibrated on the clean training curves, as run_replicate does
+    train = read_dataset(prefix + "_train.csv")
+    assert float(alphas[0]) == calibrate_alpha(train, beta_spectra)
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +244,16 @@ class TestExitCodes:
         na.write_text("t,0.0,0.5,1.0\nNA,1.0,2.0,3.0\nNA,1.0,0.0,2.0\n")
         assert _run(["fit", "--data", str(na), "--lambda", "1.0",
                      "--gamma", "1.0", "--out", str(tmp_path / "m.json")]) == 2
+
+    def test_one_curve_fit_is_2(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("t,0.0,0.5,1.0\n1,1.0,2.0,3.0\n")
+        model = tmp_path / "m.json"
+        assert _run(["fit", "--data", str(one), "--lambda", "1.0",
+                     "--gamma", "1.0", "--out", str(model)]) == 2
+        assert "data error: fit needs at least 2 curves, got 1" in \
+            capsys.readouterr().err
+        assert not model.exists()
 
     def test_non_convergence_is_3(self, tmp_path):
         # single-class labels cannot converge and are flagged, not raised
@@ -533,7 +560,8 @@ def fuzz_files(tmp_path_factory):
             for lab in labels]) + "\n"
 
     files = {"train": table([0, 1] * 5), "test": table([1, 0] * 3),
-             "unlabeled": table(["NA"] * 3), "curve": "t,beta\n0,1\n1,-1\n",
+             "unlabeled": table(["NA"] * 3), "one_curve": table([1]),
+             "curve": "t,beta\n0,1\n1,-1\n",
              "short_curve": "t,beta\n0,1\n0.5,-1\n"}
     paths = {}
     for name, text in files.items():
@@ -556,7 +584,8 @@ _NUMBER_BAD = ["-1", "nan", "inf", "x"]
 _GRID_BAD = [",", "nan", "-1,2", ""]
 _FLAG_VALUES = {
     "--data": (["{train}", "{test}"],
-               ["{unlabeled}", "{garbage}", "{dir}", "{missing}", "{model}"]),
+               ["{unlabeled}", "{one_curve}", "{garbage}", "{dir}",
+                "{missing}", "{model}"]),
     "--test": (["{test}", "{train}"], ["{unlabeled}", "{garbage}", "{missing}"]),
     "--model": (["{model}"], ["{train}", "{garbage}", "{missing}", "{dir}"]),
     "--lambda": (["0", "1", "8"], _NUMBER_BAD),
