@@ -30,12 +30,6 @@ class BSplineBasis:
         return np.linspace(0.0, self.domain_end,
                            self.interior_interval_count + 1)
 
-    def support_intervals(self, l: int) -> range:
-        """0-based subinterval indices on which basis function l is nonzero."""
-        lo = max(0, l - self.degree)
-        hi = min(self.interior_interval_count - 1, l)
-        return range(lo, hi + 1)
-
 
 def make_basis(domain_end: float, degree: int, interval_count: int) -> BSplineBasis:
     """Build a clamped basis on [0, domain_end] with equally spaced knots."""
@@ -99,11 +93,6 @@ def eval_basis_many(basis: BSplineBasis, points, derivative_order: int = 0) -> n
         raise ValueError(f"derivative order {derivative_order} outside "
                          f"[0, {basis.degree}]")
     return _de_boor(basis.knot_vector, basis.degree, pts, derivative_order)
-
-
-def eval_basis(basis: BSplineBasis, t: float, derivative_order: int = 0) -> np.ndarray:
-    """Evaluate all L basis functions at a single point (vector of length L)."""
-    return eval_basis_many(basis, [t], derivative_order)[0]
 
 
 def gram_block(basis: BSplineBasis, derivative_order: int = 0) -> np.ndarray:

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
-from dataclasses import replace as dc_replace
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +19,9 @@ from .dataio import DataError, read_curve, read_dataset, write_csv, write_datase
 from .design import FunctionalDataset, build_design
 from .metrics import classification_metrics, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
-from .simulate import (SCENARIOS, ScenarioSpec, _add_observation_noise,
-                       calibrate_alpha, generate_predictors,
-                       generate_responses, interval_count_rule, true_beta)
+from .simulate import (SCENARIOS, ScenarioSpec, add_observation_noise,
+                       generate_predictors, generate_responses,
+                       interval_count_rule, scenario_alpha, true_beta)
 from .solver import SolverConfig, fit
 from .tuning import TuningGrid, tune
 
@@ -132,7 +132,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate scenario data files")
     p.add_argument("--scenario", required=True,
-                   choices=("one-null", "three-null", "spectra"))
+                   choices=[name.replace("_", "-") for name in SCENARIOS])
     p.add_argument("--n-train", type=_at_least(int, 1), required=True)
     p.add_argument("--n-test", type=_at_least(int, 1), default=1000)
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
@@ -147,7 +147,8 @@ def build_parser() -> _Parser:
     p.add_argument("--true-beta", default=None,
                    help="scenario name (one-null/three-null/spectra) or a "
                         "CSV curve file with columns t,beta")
-    p.add_argument("--true-alpha", type=_at_least(float), default=0.0)
+    p.add_argument("--true-alpha", type=_at_least(float), default=None,
+                   help="default: the alpha= of the test file's header, or 0")
     p.add_argument("--null-regions", type=_region_list, default=None)
     p.add_argument("--out", default="metrics.json")
     return parser
@@ -248,22 +249,18 @@ def _cmd_simulate(args) -> int:
                         snr=args.snr, seed=args.seed)
     rng = np.random.default_rng(spec.seed)
     beta, _ = true_beta(scenario)
-    alpha = spec.alpha_true
-
-    clean_spec = spec if spec.snr is None else dc_replace(spec, snr=None)
     for name, n in (("train", spec.n_train), ("test", spec.n_test)):
-        clean = generate_predictors(clean_spec, n, rng)
-        if scenario == "spectra" and name == "train":
-            # one intercept for both files, from the clean training curves,
-            # as run_replicate draws its labels
-            alpha = calibrate_alpha(clean, beta)
+        clean = generate_predictors(spec, n, rng)
+        if name == "train":
+            # one intercept for both files, as run_replicate labels them
+            alpha = scenario_alpha(scenario, clean)
         comment = (f"scenario={args.scenario} seed={args.seed} "
                    f"snr={args.snr} n_train={args.n_train} "
                    f"n_test={args.n_test} alpha={alpha!r}")
         y, _ = generate_responses(clean, beta, alpha, rng)
         values = clean.values
         if spec.snr is not None:
-            values = _add_observation_noise(values, spec.snr, rng)
+            values = add_observation_noise(values, spec.snr, rng)
         labeled = FunctionalDataset(clean.grid, values, y)
         write_dataset(f"{args.out_prefix}_{name}.csv", labeled, comment)
 
@@ -273,6 +270,21 @@ def _cmd_simulate(args) -> int:
     print(f"wrote {args.out_prefix}_train.csv, {args.out_prefix}_test.csv, "
           f"{args.out_prefix}_beta.csv (seed={args.seed})")
     return EXIT_OK
+
+
+def _recorded_alpha(path) -> float:
+    """The ``alpha=`` that ``simulate`` records in a dataset file's leading
+    '#' lines, or 0.0 when there is none."""
+    with open(path, encoding="utf-8") as fh:
+        head = itertools.takewhile(lambda ln: ln.lstrip().startswith("#"), fh)
+        fields = [field for line in head for field in line.split()
+                  if field.startswith("alpha=")]
+    if not fields:
+        return 0.0
+    try:
+        return _at_least(float)(fields[0].removeprefix("alpha="))
+    except argparse.ArgumentTypeError as exc:
+        raise DataError(f"{path}: header field {fields[0]}: {exc}") from None
 
 
 def _cmd_evaluate(args) -> int:
@@ -285,9 +297,9 @@ def _cmd_evaluate(args) -> int:
 
     if args.true_beta is not None:
         name = args.true_beta.replace("-", "_")
+        reach = max(test.grid[-1], model.basis.domain_end)
         if name in SCENARIOS:
             beta, nulls = true_beta(name)
-            reach = max(test.grid[-1], model.basis.domain_end)
             if reach > 1.0:
                 raise DataError(
                     f"--true-beta {args.true_beta} is defined on [0, 1], but "
@@ -295,7 +307,6 @@ def _cmd_evaluate(args) -> int:
         else:
             ts, values = read_curve(args.true_beta)
             # np.interp would extend the curve as a constant past its ends
-            reach = max(test.grid[-1], model.basis.domain_end)
             if ts[0] > 0.0 or ts[-1] < reach:
                 raise DataError(
                     f"--true-beta {args.true_beta} covers "
@@ -309,7 +320,9 @@ def _cmd_evaluate(args) -> int:
         if any(b > T for _, b in nulls):
             raise DataError(f"null regions {nulls} reach past the model's "
                             f"domain [0, {T:g}]")
-        _, p_true = generate_responses(test, beta, args.true_alpha, 0)
+        alpha = (_recorded_alpha(args.test) if args.true_alpha is None
+                 else args.true_alpha)
+        _, p_true = generate_responses(test, beta, alpha, 0)
         report.pmse = pmse(p_true, probs)
         if nulls:
             report.ise0, report.ise1 = ise(lambda t: beta_hat(model, t),

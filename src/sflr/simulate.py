@@ -25,7 +25,6 @@ class ScenarioSpec:
     n_train: int
     n_test: int = 1000
     grid_size: int = 101
-    alpha_true: float = 0.0
     snr: float | None = None
     seed: int = 0
 
@@ -125,16 +124,6 @@ _GENERATOR_DEGREE = 4
 _GENERATOR_INTERVALS = 70
 
 
-def _draw_predictor_values(scenario: str, n: int, grid: np.ndarray,
-                           rng: np.random.Generator) -> np.ndarray:
-    if scenario in ("one_null", "three_null"):
-        gen_basis = make_basis(1.0, _GENERATOR_DEGREE, _GENERATOR_INTERVALS)
-        E = eval_basis_many(gen_basis, grid)
-        coefs = rng.standard_normal((n, gen_basis.basis_count))
-        return coefs @ E.T
-    return _spectra_class_means(n, grid) + rng.standard_normal((n, grid.size))
-
-
 def _spectra_class_means(n: int, grid: np.ndarray) -> np.ndarray:
     """Per-curve spectra means: the first n // 2 curves are class A."""
     mean_a, mean_b = spectra_means(grid)
@@ -147,8 +136,10 @@ def _observation_noise_sd(values: np.ndarray, snr: float) -> float:
     return float(values.std()) / math.sqrt(snr)
 
 
-def _add_observation_noise(values: np.ndarray, snr: float,
-                           rng: np.random.Generator) -> np.ndarray:
+def add_observation_noise(values: np.ndarray, snr: float,
+                          rng: np.random.Generator) -> np.ndarray:
+    """``values`` plus iid Gaussian noise whose variance is the variance of
+    ``values`` over ``snr``."""
     noise_sd = _observation_noise_sd(values, snr)
     return values + rng.normal(0.0, noise_sd, size=values.shape)
 
@@ -181,20 +172,23 @@ def posterior_mean_curves(scenario: str, noisy: np.ndarray, grid: np.ndarray,
 
 def generate_predictors(spec: ScenarioSpec, n_samples: int | None = None,
                         rng: np.random.Generator | None = None) -> FunctionalDataset:
-    """Unlabeled predictor curves for a scenario (n_train rows by default).
+    """Clean, unlabeled curves for a scenario (n_train rows by default).
 
-    When spec.snr is set, the returned values are the signal curves plus iid
-    observation noise. Responses should always be generated from the clean
-    signal (see run_replicate), so noise degrades estimation rather than
-    inflating the signal.
+    Labels are drawn from these curves (``generate_responses``) and noise at
+    ``spec.snr`` is added afterwards (``add_observation_noise``), so noise
+    degrades estimation rather than inflating the signal.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     n = spec.n_train if n_samples is None else int(n_samples)
     grid = spec.grid
-    values = _draw_predictor_values(spec.scenario, n, grid, rng)
-    if spec.snr is not None:
-        values = _add_observation_noise(values, spec.snr, rng)
+    if spec.scenario == "spectra":
+        values = (_spectra_class_means(n, grid)
+                  + rng.standard_normal((n, grid.size)))
+    else:
+        gen_basis = make_basis(1.0, _GENERATOR_DEGREE, _GENERATOR_INTERVALS)
+        E = eval_basis_many(gen_basis, grid)
+        values = rng.standard_normal((n, gen_basis.basis_count)) @ E.T
     return FunctionalDataset(grid=grid, values=values)
 
 
@@ -232,6 +226,14 @@ def calibrate_alpha(X: FunctionalDataset, beta) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scenario_alpha(scenario: str, train_clean: FunctionalDataset) -> float:
+    """A scenario's true intercept, for its training and test labels: 0, or
+    for spectra the ``calibrate_alpha`` of the clean training curves."""
+    if scenario == "spectra":
+        return calibrate_alpha(train_clean, beta_spectra)
+    return 0.0
 
 
 def interval_count_rule(n_points: int) -> int:
@@ -305,24 +307,20 @@ def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
     beta, designed_nulls = true_beta(spec.scenario)
 
     ts = spec.grid
-    train_sig = _draw_predictor_values(spec.scenario, spec.n_train, ts, rng)
-    test_sig = _draw_predictor_values(spec.scenario, spec.n_test, ts, rng)
-    train_clean = FunctionalDataset(ts, train_sig)
-    test_clean = FunctionalDataset(ts, test_sig)
-    alpha_true = spec.alpha_true
-    if spec.scenario == "spectra":
-        alpha_true = calibrate_alpha(train_clean, beta)
+    train_clean = generate_predictors(spec, spec.n_train, rng)
+    test_clean = generate_predictors(spec, spec.n_test, rng)
+    alpha = scenario_alpha(spec.scenario, train_clean)
     # responses come from the clean signal; observation noise is drawn last
     # so seed-matched noisy and noiseless replicates share curves and labels
-    y_train, _ = generate_responses(train_clean, beta, alpha_true, rng)
-    y_test, p_test = generate_responses(test_clean, beta, alpha_true, rng)
+    y_train, _ = generate_responses(train_clean, beta, alpha, rng)
+    y_test, p_test = generate_responses(test_clean, beta, alpha, rng)
     if y_train.min() == y_train.max():
         raise ValueError("degenerate replicate: single-class training labels")
 
-    train_vals, test_vals = train_sig, test_sig
+    train_vals, test_vals = train_clean.values, test_clean.values
     if spec.snr is not None:
-        train_vals = _add_observation_noise(train_sig, spec.snr, rng)
-        test_vals = _add_observation_noise(test_sig, spec.snr, rng)
+        train_vals = add_observation_noise(train_vals, spec.snr, rng)
+        test_vals = add_observation_noise(test_vals, spec.snr, rng)
     test_X = FunctionalDataset(ts, test_vals)
     train = FunctionalDataset(ts, train_vals, y_train)
     basis = make_basis(1.0, 3, interval_count_rule(spec.grid_size))
@@ -345,9 +343,9 @@ def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
     if spec.snr is not None:
         seen = posterior_mean_curves(
             spec.scenario, test_vals, ts,
-            _observation_noise_sd(test_sig, spec.snr))
+            _observation_noise_sd(test_clean.values, spec.snr))
         p_bayes = _sigmoid(_linear_predictor(FunctionalDataset(ts, seen),
-                                             beta, alpha_true))
+                                             beta, alpha))
     oracle = classification_metrics(y_test, classify(p_bayes))
     ise0, ise1 = ise(lambda t: beta_hat(model, t), beta, designed_nulls, 1.0)
     return {

@@ -15,7 +15,9 @@ from sflr import cli
 from sflr.cli import main
 from sflr.dataio import read_dataset, write_dataset
 from sflr.design import FunctionalDataset
-from sflr.simulate import beta_spectra, calibrate_alpha
+from sflr.simulate import (SCENARIOS, ScenarioSpec, add_observation_noise,
+                           beta_spectra, calibrate_alpha, generate_predictors,
+                           generate_responses, scenario_alpha, true_beta)
 from sflr.tuning import TuningResult
 
 
@@ -83,6 +85,83 @@ def test_simulate_spectra_files_share_one_recorded_intercept(tmp_path):
     # calibrated on the clean training curves, as run_replicate does
     train = read_dataset(prefix + "_train.csv")
     assert float(alphas[0]) == calibrate_alpha(train, beta_spectra)
+
+
+@pytest.mark.parametrize("snr", [None, "1"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_simulate_composes_the_public_steps_in_order(tmp_path, scenario, snr):
+    # per file, train first: generate_predictors, scenario_alpha (train
+    # only), generate_responses, add_observation_noise; all on one stream
+    seed, sizes = 4, {"train": 40, "test": 30}
+    prefix = str(tmp_path / "sim")
+    argv = ["simulate", "--scenario", scenario.replace("_", "-"),
+            "--n-train", str(sizes["train"]), "--n-test", str(sizes["test"]),
+            "--seed", str(seed), "--out-prefix", prefix]
+    assert _run(argv + ([] if snr is None else ["--snr", snr])) == 0
+    spec = ScenarioSpec(scenario, n_train=sizes["train"],
+                        n_test=sizes["test"], seed=seed)
+    beta, _ = true_beta(scenario)
+    rng = np.random.default_rng(seed)
+    for name, n in sizes.items():
+        clean = generate_predictors(spec, n, rng)
+        if name == "train":
+            alpha = scenario_alpha(scenario, clean)
+        labels, _ = generate_responses(clean, beta, alpha, rng)
+        values = clean.values
+        if snr is not None:
+            values = add_observation_noise(values, float(snr), rng)
+        written = read_dataset(f"{prefix}_{name}.csv")
+        assert written.values.shape == values.shape
+        assert written.values.tobytes() == values.tobytes(), name
+        assert written.labels.tobytes() == labels.tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def spectra_fit(tmp_path_factory):
+    """Spectra files from simulate, a model fitted to them, and the
+    intercept the files record."""
+    root = tmp_path_factory.mktemp("spectra")
+    prefix = str(root / "spec")
+    assert _run(["simulate", "--scenario", "spectra", "--n-train", "100",
+                 "--n-test", "100", "--seed", "7",
+                 "--out-prefix", prefix]) == 0
+    model = str(root / "model.json")
+    assert _run(["fit", "--data", prefix + "_train.csv", "--lambda", "4",
+                 "--gamma", "1.5e-4", "--intervals", "10",
+                 "--out", model]) in (0, 3)
+    with open(prefix + "_test.csv") as fh:
+        alpha = fh.readline().split(" alpha=")[1].split()[0]
+    return prefix + "_test.csv", model, alpha
+
+
+def test_evaluate_reads_the_recorded_alpha(spectra_fit, tmp_path):
+    test, model, alpha = spectra_fit
+    metrics = {}
+    for name, flag in (("header", []), ("flag", ["--true-alpha", alpha]),
+                       ("zero", ["--true-alpha", "0"])):
+        out = tmp_path / f"{name}.json"
+        assert _run(["evaluate", "--model", model, "--test", test,
+                     "--true-beta", "spectra", "--out", str(out)] + flag) == 0
+        metrics[name] = out.read_bytes()
+    assert metrics["header"] == metrics["flag"]
+    # the spectra intercept is not 0, so neither is its effect on pmse
+    assert metrics["header"] != metrics["zero"]
+
+
+def test_evaluate_refuses_a_non_finite_recorded_alpha(spectra_fit, tmp_path,
+                                                      capsys):
+    test, model, _ = spectra_fit
+    bad = tmp_path / "test.csv"
+    with open(test) as fh:
+        bad.write_text("# alpha=nan\n" + fh.read())
+    out = tmp_path / "metrics.json"
+    argv = ["evaluate", "--model", model, "--test", str(bad),
+            "--true-beta", "spectra", "--out", str(out)]
+    assert _run(argv) == 2
+    assert "alpha=nan" in capsys.readouterr().err
+    assert not out.exists()
+    # an explicit --true-alpha is used instead of the header
+    assert _run(argv + ["--true-alpha", "0"]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -657,3 +736,43 @@ def test_main_never_raises_on_fuzzed_flags(fuzz_files, argv):
         finally:
             os.chdir(cwd)
     assert code in (0, 1, 2, 3), argv
+
+
+def _refused_file_runs():
+    """(command, flag, file) for every refused file of the fuzzer's table
+    and every command that reads it through that flag."""
+    readers = {"--data": ("fit", "tune", "predict"),
+               "--model": ("evaluate", "predict"), "--test": ("evaluate",),
+               "--true-beta": ("evaluate",)}
+    for flag, commands in readers.items():
+        for value in _FLAG_VALUES[flag][1]:
+            for command in commands:
+                # predict takes unlabeled curves, and one is enough
+                if (value.startswith("{") and not (command == "predict"
+                        and value in ("{unlabeled}", "{one_curve}"))):
+                    yield command, flag, value
+
+
+_GOOD_ARGS = {
+    "fit": {"--data": "{train}", "--lambda": "1", "--gamma": "1e-3",
+            "--intervals": "3"},
+    "tune": {"--data": "{train}", "--lambda-grid": "1",
+             "--gamma-grid": "1e-3", "--intervals": "3"},
+    "predict": {"--model": "{model}", "--data": "{test}"},
+    "evaluate": {"--model": "{model}", "--test": "{test}",
+                 "--true-beta": "one-null"},
+}
+
+
+@pytest.mark.parametrize("command,flag,value", list(_refused_file_runs()))
+def test_refused_file_is_a_data_error(fuzz_files, tmp_path, capsys, command,
+                                      flag, value):
+    out = tmp_path / "out"
+    out.mkdir()
+    args = {**_GOOD_ARGS[command], flag: value, "--out": str(out / "result")}
+    argv = [command]
+    for key, arg in args.items():
+        argv += [key, fuzz_files.get(arg, arg)]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.startswith("data error:")
+    assert not any(out.iterdir())
