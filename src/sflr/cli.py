@@ -213,7 +213,9 @@ def _cmd_predict(args) -> int:
     probs = _predict(model, data)
     write_csv(args.out, ["probability", "class"],
               zip(probs.tolist(), classify(probs).tolist()),
-              f"model={args.model} data={args.data}")
+              f"lambda={model.fit.lam} gamma={model.fit.gamma} "
+              f"degree={model.basis.degree} m={model.m} "
+              f"intervals={model.basis.interior_interval_count}")
     print(f"predictions written to {args.out}")
     return EXIT_OK
 

@@ -17,6 +17,14 @@ which is what step-halving monitors (``objective_trace``) and what
 lambda = 0 fit descends the same function with its L1 term off; one
 ``_Objective`` holds it, with the [1, U] design and the padded V* that both
 descents' Newton steps use.
+
+Each iterate is evaluated once: the linear predictor, sigmoid and clamp
+that give its objective value also give the probabilities of its Newton
+step. The likelihood Hessian U'DU is summed over fixed 256-row blocks in
+a fixed order, and the descent, ``newton_step`` and ``fit``'s ``df`` all
+use that one Hessian. Results are identical bytes at any OpenBLAS thread
+count (checked at 1 and 2 threads with OpenBLAS 0.3.31 only) for bases of
+at most 95 functions; on larger ones the Hessian's bits can still change.
 """
 from __future__ import annotations
 
@@ -38,6 +46,11 @@ _STEP_HALVING_MAX = 20
 _DESCENT_SLACK = 1e-12
 _PIVOT_RATIO_LIMIT = 1e6
 _L1_NODES = 20
+# rows per block of the likelihood Hessian: with 34 columns, a 256-row
+# block takes about 27 us at 1 and at 2 OpenBLAS threads alike, while a
+# 500-row block takes 85 us at 2 threads against 39 us at 1 (OpenBLAS
+# 0.3.31 on a 2-core Xeon VM)
+_HESSIAN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -83,6 +96,10 @@ def clamped_probs(eta: np.ndarray) -> np.ndarray:
     return np.clip(_sigmoid(eta), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
+def _log_likelihood(p: np.ndarray, y: np.ndarray) -> float:
+    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+
+
 def log_likelihood(b: np.ndarray, alpha: float, U: np.ndarray,
                    y: np.ndarray) -> float:
     """Bernoulli log-likelihood with probabilities clamped to
@@ -91,8 +108,7 @@ def log_likelihood(b: np.ndarray, alpha: float, U: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if U.shape[1] != b.size or U.shape[0] != y.size:
         raise ValueError(f"dimension mismatch: U {U.shape}, b {b.size}, y {y.size}")
-    p = clamped_probs(alpha + U @ b)
-    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    return _log_likelihood(clamped_probs(alpha + U @ b), y)
 
 
 @lru_cache(maxsize=16)
@@ -145,12 +161,37 @@ def _near_singular(H: np.ndarray) -> bool:
     return bool(pivots.max() > _PIVOT_RATIO_LIMIT * pivots.min())
 
 
-def _likelihood_hessian(theta: np.ndarray,
-                        U_aug: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped probabilities p and the Hessian U_aug' diag(p(1-p)) U_aug."""
-    p = clamped_probs(U_aug @ theta)
-    d = p * (1.0 - p)
-    return p, U_aug.T @ (d[:, None] * U_aug)
+def _likelihood_hessian(p: np.ndarray, U_aug: np.ndarray) -> np.ndarray:
+    """U_aug' diag(p(1-p)) U_aug as the sum of S_i'S_i over the fixed
+    row blocks S_i of S = sqrt(p(1-p)) U_aug, added in block order.
+
+    NumPy sends each S_i'S_i to BLAS as one symmetric rank-k update, so
+    the result is exactly symmetric. A whole-N product's bits change with
+    the OpenBLAS thread count at N = 1000; a 256-row block's do not while
+    U_aug has at most 96 columns.
+    """
+    S = np.sqrt(p * (1.0 - p))[:, None] * U_aug
+    H = np.zeros((S.shape[1],) * 2)
+    for start in range(0, S.shape[0], _HESSIAN_BLOCK_ROWS):
+        block = S[start:start + _HESSIAN_BLOCK_ROWS]
+        H += block.T @ block
+    return H
+
+
+def _newton_solve(theta: np.ndarray, p: np.ndarray, U_aug: np.ndarray,
+                  y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The Newton step at theta, whose clamped probabilities are p, for
+    the intercept-augmented penalty matrix P = V* + W~*."""
+    H = _likelihood_hessian(p, U_aug) + P
+    rhs = U_aug.T @ (y - p) - P @ theta
+    if not np.all(np.isfinite(H)):
+        raise np.linalg.LinAlgError("non-finite Newton system")
+    if _near_singular(H):
+        warnings.warn("ill-conditioned Newton system (Cholesky pivots "
+                      "collapse); using pseudo-solve", RuntimeWarning,
+                      stacklevel=2)
+        return np.linalg.lstsq(H, rhs, rcond=None)[0]
+    return np.linalg.solve(H, rhs)
 
 
 def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
@@ -168,19 +209,8 @@ def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
     if U_aug.shape[1] != theta.size or U_aug.shape[0] != y.size:
         raise ValueError(f"dimension mismatch: U_aug {U_aug.shape}, "
                          f"theta {theta.size}, y {y.size}")
-    p, UDU = _likelihood_hessian(theta, U_aug)
-    H = UDU + V_star + W_tilde_star
-    rhs = U_aug.T @ (y - p) - V_star @ theta - W_tilde_star @ theta
-    if not np.all(np.isfinite(H)):
-        raise np.linalg.LinAlgError("non-finite Newton system")
-    if _near_singular(H):
-        warnings.warn("ill-conditioned Newton system (Cholesky pivots "
-                      "collapse); using pseudo-solve", RuntimeWarning,
-                      stacklevel=2)
-        step = np.linalg.lstsq(H, rhs, rcond=None)[0]
-    else:
-        step = np.linalg.solve(H, rhs)
-    return theta + step
+    p = clamped_probs(U_aug @ theta)
+    return theta + _newton_solve(theta, p, U_aug, y, V_star + W_tilde_star)
 
 
 def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
@@ -216,7 +246,7 @@ class _Objective:
 
     def __init__(self, U, y, V, gamma, lam=0.0,
                  basis: BSplineBasis | None = None):
-        self.U, self.y = U, np.asarray(y, dtype=np.float64)
+        self.y = np.asarray(y, dtype=np.float64)
         self.U_aug = np.column_stack([np.ones(U.shape[0]), U])
         self.V_star = np.zeros((V.shape[0] + 1,) * 2)
         self.V_star[1:, 1:] = gamma * V
@@ -229,12 +259,13 @@ class _Objective:
     def l1(self, b: np.ndarray) -> float:
         return float(self._l1_w @ np.abs(self._l1_E @ b))
 
-    def __call__(self, theta: np.ndarray) -> float:
-        ll = log_likelihood(theta[1:], theta[0], self.U, self.y)
-        value = -ll + 0.5 * theta @ self.V_star @ theta
+    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """The objective at theta and its clamped probabilities."""
+        p = clamped_probs(self.U_aug @ theta)
+        value = -_log_likelihood(p, self.y) + 0.5 * theta @ self.V_star @ theta
         if self.lam > 0.0:
             value += 0.5 * self.lam * self.l1(theta[1:])
-        return value
+        return value, p
 
 
 def _descend(theta, objective, penalty, config, trace=None):
@@ -242,18 +273,19 @@ def _descend(theta, objective, penalty, config, trace=None):
     (theta, converged, iters).
 
     ``penalty(theta)`` gives the intercept-augmented W~* of each step.
+    Each iterate is evaluated once: the probabilities of the accepted
+    candidate are those its Newton step is built from.
     """
     U_aug, y, V_star = objective.U_aug, objective.y, objective.V_star
-    obj = objective(theta)
+    obj, p = objective.evaluate(theta)
     if trace is not None:
         trace.append(obj)
     for it in range(1, config.max_iterations + 1):
-        proposal = newton_step(theta, U_aug, y, V_star, penalty(theta))
-        step = proposal - theta
+        step = _newton_solve(theta, p, U_aug, y, V_star + penalty(theta))
         scale, accepted = 1.0, False
         for _ in range(_STEP_HALVING_MAX + 1):
             cand = theta + scale * step
-            obj_c = objective(cand)
+            obj_c, p_c = objective.evaluate(cand)
             if obj_c <= obj + _DESCENT_SLACK:
                 accepted = True
                 break
@@ -263,7 +295,7 @@ def _descend(theta, objective, penalty, config, trace=None):
             # line-search resolution
             return theta, True, it
         rel = _relative_step(cand, theta)
-        theta, obj = cand, obj_c
+        theta, obj, p = cand, obj_c, p_c
         if trace is not None:
             trace.append(obj)
         if rel < config.tolerance:
@@ -325,7 +357,7 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     else:
         # no sparsity penalty: the initialization already solved the problem
         converged, iters = conv0, it0
-        trace.append(objective(theta))
+        trace.append(objective.evaluate(theta)[0])
 
     if degenerate:
         converged = False
@@ -348,7 +380,8 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
         b[touched] = 0.0
 
     theta_final = np.concatenate([[alpha], b])
-    _, UDU = _likelihood_hessian(theta_final, objective.U_aug)
+    final_objective, p = objective.evaluate(theta_final)
+    UDU = _likelihood_hessian(p, objective.U_aug)
     Wt_aug = lqa_weight_matrix(b, W_blocks, config.lam, T, pad=1)
     H = UDU + objective.V_star + Wt_aug
     try:
@@ -356,9 +389,8 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     except np.linalg.LinAlgError:
         df = float(np.trace(np.linalg.lstsq(H, UDU, rcond=None)[0]))
 
-    ll = log_likelihood(b, alpha, U, y)
     return FitResult(b=b, alpha=alpha, null_mask=null_mask,
                      iterations=iters, converged=converged,
-                     final_objective=objective(theta_final),
-                     loglik=ll, df=df, lam=config.lam, gamma=config.gamma,
-                     objective_trace=trace)
+                     final_objective=final_objective,
+                     loglik=_log_likelihood(p, y), df=df, lam=config.lam,
+                     gamma=config.gamma, objective_trace=trace)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +207,25 @@ def test_predict_and_evaluate(sim_files, fitted, tmp_path):
     assert 0.0 <= doc["mcr"] <= 1.0
     assert doc["ise0"] is not None and doc["ise1"] is not None
     assert doc["pmse"] is not None
+
+
+def test_predict_file_does_not_depend_on_where_its_inputs_live(
+        sim_files, fitted, tmp_path):
+    _, prefix = sim_files
+    outputs = []
+    for where in ("a", "b/c"):
+        d = tmp_path / where
+        d.mkdir(parents=True)
+        model, data = d / "model.json", d / "test.csv"
+        model.write_bytes(fitted.read_bytes())
+        data.write_bytes(Path(prefix + "_test.csv").read_bytes())
+        assert _run(["predict", "--model", str(model), "--data", str(data),
+                     "--out", str(d / "pred.csv")]) == 0
+        outputs.append((d / "pred.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    header = outputs[0].decode().splitlines()[0]
+    assert header == ("# lambda=8.0 gamma=0.0001 degree=3 m=2 "
+                      "intervals=30"), header
 
 
 def test_tune_writes_best_pair(sim_files, tmp_path):

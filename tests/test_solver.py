@@ -8,9 +8,10 @@ from scipy.optimize import minimize
 from sflr.basis import gram_block, make_basis
 from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.model import SflrModel, beta_hat
-from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig, clamped_probs,
-                         fit, fit_initial, interval_norms, log_likelihood,
-                         lqa_weight_matrix, newton_step)
+from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig,
+                         _likelihood_hessian, clamped_probs, fit, fit_initial,
+                         interval_norms, log_likelihood, lqa_weight_matrix,
+                         newton_step)
 
 
 def _sigmoid(eta):
@@ -180,13 +181,29 @@ class TestNewtonStep:
         zero = np.zeros((L, L))
         theta = rng.standard_normal(L) * 0.1
         p = clamped_probs(U_aug @ theta)
-        H = U_aug.T @ ((p * (1 - p))[:, None] * U_aug)
+        # the likelihood Hessian as the solver builds it: S'S summed over
+        # 256-row blocks of S = sqrt(p(1-p)) U_aug (one block here)
+        S = np.sqrt(p * (1.0 - p))[:, None] * U_aug
+        H = np.zeros((L, L))
+        H += S.T @ S
         rhs = U_aug.T @ (y - p)
         with pytest.warns(RuntimeWarning,
                           match="^ill-conditioned Newton system"):
             got = newton_step(theta, U_aug, y, zero, zero)
         np.testing.assert_array_equal(
             got, theta + np.linalg.lstsq(H, rhs, rcond=None)[0])
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+    def test_blocked_hessian_is_symmetric_and_matches_dense_form(self, n):
+        rng = np.random.default_rng(n)
+        L = 34
+        U_aug = np.column_stack([np.ones(n),
+                                 rng.standard_normal((n, L - 1))])
+        p = clamped_probs(rng.standard_normal(n) * 3.0)
+        H = _likelihood_hessian(p, U_aug)
+        np.testing.assert_array_equal(H, H.T)
+        dense = U_aug.T @ ((p * (1.0 - p))[:, None] * U_aug)
+        assert np.max(np.abs(H - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
