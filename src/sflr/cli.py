@@ -181,7 +181,12 @@ def _cmd_fit(args) -> int:
     data, M, basis = _labeled_basis(args)
     design = build_design(data, basis, args.m)
     config = SolverConfig(lam=args.lam, gamma=args.gamma, m=args.m)
-    result = fit(design.U, data.labels.astype(float), basis, design, config)
+    try:
+        result = fit(design.U, data.labels.astype(float), basis, design,
+                     config)
+    except np.linalg.LinAlgError as exc:  # e.g. penalties that overflow
+        print(f"no convergence: {exc}; no model written", file=sys.stderr)
+        return EXIT_NOCONV
     model = SflrModel(basis=basis, fit=result, training_grid=data.grid,
                       m=args.m)
     model_mod.save(model, args.out)

@@ -20,11 +20,19 @@ descents' Newton steps use.
 
 Each iterate is evaluated once: the linear predictor, sigmoid and clamp
 that give its objective value also give the probabilities of its Newton
-step. The likelihood Hessian U'DU is summed over fixed 256-row blocks in
-a fixed order, and the descent, ``newton_step`` and ``fit``'s ``df`` all
-use that one Hessian. Results are identical bytes at any OpenBLAS thread
-count (checked at 1 and 2 threads with OpenBLAS 0.3.31 only) for bases of
-at most 95 functions; on larger ones the Hessian's bits can still change.
+step. The evaluation runs in place on the linear predictor's buffer, with
+the same operations in the same order as ``clamped_probs`` and
+``_log_likelihood``. The likelihood Hessian U'DU is built from the
+transposed design [1, U]' (C-contiguous, made once per objective): the
+weights sqrt(p(1-p)) scale its contiguous rows, and the products of
+fixed 256-column blocks are summed in a fixed order. The descent,
+``newton_step`` and ``fit``'s ``df`` all use that one Hessian. The
+linear predictor and the gradient stay on the untransposed [1, U]: BLAS
+sums a matrix-vector product in another order when the layout flips, so
+their bits would change. Results are identical bytes at any OpenBLAS
+thread count (checked at 1 and 2 threads with OpenBLAS 0.3.31 only) for
+bases of at most 95 functions; on larger ones the Hessian's bits can
+still change.
 """
 from __future__ import annotations
 
@@ -129,6 +137,18 @@ def interval_norms(b: np.ndarray, W_blocks: np.ndarray) -> np.ndarray:
         np.einsum("ja,jab,jb->j", window, W_blocks, window), 0.0))
 
 
+def _lqa_penalty(W_blocks: np.ndarray, lam: float, T: float, pad: int):
+    """The map b -> lqa_weight_matrix(b, W_blocks, lam, T, pad), with its
+    scale (lambda/2)*sqrt(T/M) computed once for every b it is given."""
+    scale = 0.5 * lam * np.sqrt(T / len(W_blocks))
+
+    def penalty(b: np.ndarray) -> np.ndarray:
+        coef = 1.0 / np.maximum(interval_norms(b, W_blocks), _NORM_FLOOR)
+        return scale * assemble_blocks(W_blocks, coef, pad)
+
+    return penalty
+
+
 def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
                       lam: float, T: float, pad: int = 0) -> np.ndarray:
     """Scaled LQA penalty matrix (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]||,
@@ -141,9 +161,7 @@ def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    coef = 1.0 / np.maximum(interval_norms(b_current, W_blocks), _NORM_FLOOR)
-    return (0.5 * lam * np.sqrt(T / len(W_blocks))
-            * assemble_blocks(W_blocks, coef, pad))
+    return _lqa_penalty(W_blocks, lam, T, pad)(b_current)
 
 
 def _near_singular(H: np.ndarray) -> bool:
@@ -155,37 +173,45 @@ def _near_singular(H: np.ndarray) -> bool:
     never fires where cond(H) <= 1e12, and it costs a fraction of an SVD.
     """
     try:
-        pivots = np.diagonal(np.linalg.cholesky(H))
+        pivots = np.linalg.cholesky(H).diagonal()
     except np.linalg.LinAlgError:
         return True
     return bool(pivots.max() > _PIVOT_RATIO_LIMIT * pivots.min())
 
 
-def _likelihood_hessian(p: np.ndarray, U_aug: np.ndarray) -> np.ndarray:
-    """U_aug' diag(p(1-p)) U_aug as the sum of S_i'S_i over the fixed
-    row blocks S_i of S = sqrt(p(1-p)) U_aug, added in block order.
+def _likelihood_hessian(p: np.ndarray, U_augT: np.ndarray) -> np.ndarray:
+    """U_aug' diag(p(1-p)) U_aug, from the transposed design U_augT, as
+    the sum of S_i S_i' over the fixed column blocks S_i of
+    S = U_augT sqrt(p(1-p)), added in block order.
 
-    NumPy sends each S_i'S_i to BLAS as one symmetric rank-k update, so
-    the result is exactly symmetric. A whole-N product's bits change with
-    the OpenBLAS thread count at N = 1000; a 256-row block's do not while
-    U_aug has at most 96 columns.
+    NumPy sends each S_i S_i' to BLAS as one symmetric rank-k update, so
+    the result is exactly symmetric; with OpenBLAS 0.3.31 its bits are
+    those of S_i'S_i on the same blocks taken as rows of the untransposed
+    S. A whole-N product's bits change with the OpenBLAS thread count at
+    N = 1000; a 256-column block's do not while U_aug has at most 96
+    columns.
     """
-    S = np.sqrt(p * (1.0 - p))[:, None] * U_aug
-    H = np.zeros((S.shape[1],) * 2)
-    for start in range(0, S.shape[0], _HESSIAN_BLOCK_ROWS):
-        block = S[start:start + _HESSIAN_BLOCK_ROWS]
-        H += block.T @ block
+    S = U_augT * np.sqrt(p * (1.0 - p))
+    block = S[:, :_HESSIAN_BLOCK_ROWS]
+    H = block @ block.T
+    for start in range(_HESSIAN_BLOCK_ROWS, S.shape[1], _HESSIAN_BLOCK_ROWS):
+        block = S[:, start:start + _HESSIAN_BLOCK_ROWS]
+        H += block @ block.T
     return H
 
 
 def _newton_solve(theta: np.ndarray, p: np.ndarray, U_aug: np.ndarray,
-                  y: np.ndarray, P: np.ndarray) -> np.ndarray:
+                  U_augT: np.ndarray, y: np.ndarray,
+                  P: np.ndarray) -> np.ndarray:
     """The Newton step at theta, whose clamped probabilities are p, for
-    the intercept-augmented penalty matrix P = V* + W~*."""
-    H = _likelihood_hessian(p, U_aug) + P
-    rhs = U_aug.T @ (y - p) - P @ theta
-    if not np.all(np.isfinite(H)):
+    the intercept-augmented penalty matrix P = V* + W~*; ``U_augT`` is
+    ``U_aug`` transposed and C-contiguous."""
+    H = _likelihood_hessian(p, U_augT)
+    H += P
+    if not np.isfinite(H).all():
         raise np.linalg.LinAlgError("non-finite Newton system")
+    rhs = U_aug.T @ (y - p)
+    rhs -= P @ theta
     if _near_singular(H):
         warnings.warn("ill-conditioned Newton system (Cholesky pivots "
                       "collapse); using pseudo-solve", RuntimeWarning,
@@ -210,11 +236,15 @@ def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
         raise ValueError(f"dimension mismatch: U_aug {U_aug.shape}, "
                          f"theta {theta.size}, y {y.size}")
     p = clamped_probs(U_aug @ theta)
-    return theta + _newton_solve(theta, p, U_aug, y, V_star + W_tilde_star)
+    return theta + _newton_solve(theta, p, U_aug,
+                                 np.ascontiguousarray(U_aug.T), y,
+                                 V_star + W_tilde_star)
 
 
 def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
-    return float(np.max(np.abs(new - old)) / max(1.0, np.max(np.abs(old))))
+    change = new - old
+    np.abs(change, out=change)
+    return float(change.max() / max(1.0, np.abs(old).max()))
 
 
 @lru_cache(maxsize=4)
@@ -241,30 +271,52 @@ class _Objective:
     theta = (alpha, b), where V* = gamma*V padded with a zero row and
     column for the intercept, so the middle term is (gamma/2) b'Vb. The L1
     integral uses 20-node Gauss-Legendre per subinterval of ``basis`` and
-    is left out at lambda = 0. ``U_aug`` is [1, U].
+    is left out at lambda = 0. ``U_aug`` is [1, U] and ``U_augT`` its
+    C-contiguous transpose, from which the likelihood Hessian is built.
     """
 
     def __init__(self, U, y, V, gamma, lam=0.0,
                  basis: BSplineBasis | None = None):
         self.y = np.asarray(y, dtype=np.float64)
+        self._one_minus_y = 1.0 - self.y
         self.U_aug = np.column_stack([np.ones(U.shape[0]), U])
+        self.U_augT = np.ascontiguousarray(self.U_aug.T)
         self.V_star = np.zeros((V.shape[0] + 1,) * 2)
         self.V_star[1:, 1:] = gamma * V
         self.lam = lam
+        self._half_lam = 0.5 * lam
         if lam > 0.0:
             self._l1_w, self._l1_E = _l1_quadrature(
                 basis.domain_end, basis.degree,
                 basis.interior_interval_count)
 
     def l1(self, b: np.ndarray) -> float:
-        return float(self._l1_w @ np.abs(self._l1_E @ b))
+        values = self._l1_E @ b
+        np.abs(values, out=values)
+        return float(self._l1_w @ values)
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The objective at theta and its clamped probabilities."""
-        p = clamped_probs(self.U_aug @ theta)
-        value = -_log_likelihood(p, self.y) + 0.5 * theta @ self.V_star @ theta
+        """The objective at theta and its clamped probabilities.
+
+        ``clamped_probs`` and ``_log_likelihood``'s operations, in their
+        order, done in place on the linear predictor's buffer and two
+        log buffers.
+        """
+        p = self.U_aug @ theta
+        p *= 0.5
+        np.tanh(p, out=p)
+        p += 1.0
+        p *= 0.5
+        p.clip(PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+        terms = np.log(p)
+        terms *= self.y
+        log_q = np.negative(p)
+        np.log1p(log_q, out=log_q)
+        log_q *= self._one_minus_y
+        terms += log_q
+        value = -float(terms.sum()) + 0.5 * theta @ self.V_star @ theta
         if self.lam > 0.0:
-            value += 0.5 * self.lam * self.l1(theta[1:])
+            value += self._half_lam * self.l1(theta[1:])
         return value, p
 
 
@@ -272,16 +324,16 @@ def _descend(theta, objective, penalty, config, trace=None):
     """Newton iterations with step-halving on ``objective``; returns
     (theta, converged, iters).
 
-    ``penalty(theta)`` gives the intercept-augmented W~* of each step.
-    Each iterate is evaluated once: the probabilities of the accepted
-    candidate are those its Newton step is built from.
+    ``penalty(theta)`` gives the intercept-augmented P = V* + W~* of each
+    step. Each iterate is evaluated once: the probabilities of the
+    accepted candidate are those its Newton step is built from.
     """
-    U_aug, y, V_star = objective.U_aug, objective.y, objective.V_star
+    U_aug, U_augT, y = objective.U_aug, objective.U_augT, objective.y
     obj, p = objective.evaluate(theta)
     if trace is not None:
         trace.append(obj)
     for it in range(1, config.max_iterations + 1):
-        step = _newton_solve(theta, p, U_aug, y, V_star + penalty(theta))
+        step = _newton_solve(theta, p, U_aug, U_augT, y, penalty(theta))
         scale, accepted = 1.0, False
         for _ in range(_STEP_HALVING_MAX + 1):
             cand = theta + scale * step
@@ -312,9 +364,11 @@ def fit_initial(U: np.ndarray, y: np.ndarray, V: np.ndarray,
     iteration count.
     """
     objective = _Objective(U, y, V, config.gamma)
-    zero_W = np.zeros_like(objective.V_star)
+    # P = V* + W~* with W~* = 0 at every step; adding the zeros turns
+    # V*'s -0.0 entries (gamma = 0) into 0.0, as adding an LQA W~* does
+    P = objective.V_star + np.zeros_like(objective.V_star)
     return _descend(np.zeros(objective.U_aug.shape[1]), objective,
-                    lambda theta: zero_W, config)
+                    lambda theta: P, config)
 
 
 def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
@@ -348,11 +402,14 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     objective = _Objective(U, y, V, config.gamma, config.lam, basis)
     trace: list[float] = []
     if config.lam > 0.0:
-        def lqa_penalty(theta):
-            return lqa_weight_matrix(theta[1:], W_blocks, config.lam, T,
-                                     pad=1)
+        lqa_penalty = _lqa_penalty(W_blocks, config.lam, T, pad=1)
 
-        theta, converged, iters = _descend(theta, objective, lqa_penalty,
+        def penalty(theta):
+            P = lqa_penalty(theta[1:])
+            P += objective.V_star
+            return P
+
+        theta, converged, iters = _descend(theta, objective, penalty,
                                            config, trace)
     else:
         # no sparsity penalty: the initialization already solved the problem
@@ -381,7 +438,7 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
 
     theta_final = np.concatenate([[alpha], b])
     final_objective, p = objective.evaluate(theta_final)
-    UDU = _likelihood_hessian(p, objective.U_aug)
+    UDU = _likelihood_hessian(p, objective.U_augT)
     Wt_aug = lqa_weight_matrix(b, W_blocks, config.lam, T, pad=1)
     H = UDU + objective.V_star + Wt_aug
     try:

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: subcommands, artifacts, exit codes."""
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -363,6 +364,22 @@ class TestExitCodes:
                          "--out", str(tmp_path / "m.json")])
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--gamma"])
+    def test_overflowing_penalty_fit_is_3(self, sim_files, tmp_path, capsys,
+                                         flag):
+        # a 1e308 weight overflows the Newton system to inf
+        _, prefix = sim_files
+        weights = {"--lambda": "1.0", "--gamma": "1e-3", flag: "1e308"}
+        model = tmp_path / "m.json"
+        with pytest.warns(RuntimeWarning):
+            code = _run(["fit", "--data", prefix + "_train.csv",
+                         *itertools.chain(*weights.items()),
+                         "--out", str(model)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "no convergence: non-finite Newton system; no model written\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_class_tune_is_2(self, tmp_path, capsys):
         one = _single_class_csv(tmp_path / "one.csv")
         out = tmp_path / "scores.csv"
@@ -687,8 +704,8 @@ _FLAG_VALUES = {
                 "{missing}", "{model}"]),
     "--test": (["{test}", "{train}"], ["{unlabeled}", "{garbage}", "{missing}"]),
     "--model": (["{model}"], ["{train}", "{garbage}", "{missing}", "{dir}"]),
-    "--lambda": (["0", "1", "8"], _NUMBER_BAD),
-    "--gamma": (["0", "1e-3", "1"], _NUMBER_BAD),
+    "--lambda": (["0", "1", "8", "1e308"], _NUMBER_BAD),
+    "--gamma": (["0", "1e-3", "1", "1e308"], _NUMBER_BAD),
     "--true-alpha": (["0", "1.5", "-2"], ["nan", "x"]),
     "--lambda-grid": (["1", "0,2", "0.5,4"], _GRID_BAD),
     "--gamma-grid": (["1e-3", "0,1e-2", "1e-4,1"], _GRID_BAD),

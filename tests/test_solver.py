@@ -8,10 +8,10 @@ from scipy.optimize import minimize
 from sflr.basis import gram_block, make_basis
 from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.model import SflrModel, beta_hat
-from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig,
-                         _likelihood_hessian, clamped_probs, fit, fit_initial,
-                         interval_norms, log_likelihood, lqa_weight_matrix,
-                         newton_step)
+from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig, _Objective,
+                         _likelihood_hessian, _log_likelihood, clamped_probs,
+                         fit, fit_initial, interval_norms, log_likelihood,
+                         lqa_weight_matrix, newton_step)
 
 
 def _sigmoid(eta):
@@ -181,11 +181,11 @@ class TestNewtonStep:
         zero = np.zeros((L, L))
         theta = rng.standard_normal(L) * 0.1
         p = clamped_probs(U_aug @ theta)
-        # the likelihood Hessian as the solver builds it: S'S summed over
-        # 256-row blocks of S = sqrt(p(1-p)) U_aug (one block here)
-        S = np.sqrt(p * (1.0 - p))[:, None] * U_aug
-        H = np.zeros((L, L))
-        H += S.T @ S
+        # the likelihood Hessian as the solver builds it from the
+        # transposed design: SS' summed over 256-column blocks of
+        # S = U_aug' sqrt(p(1-p)) (one block here)
+        S = np.ascontiguousarray(U_aug.T) * np.sqrt(p * (1.0 - p))
+        H = S @ S.T
         rhs = U_aug.T @ (y - p)
         with pytest.warns(RuntimeWarning,
                           match="^ill-conditioned Newton system"):
@@ -200,7 +200,7 @@ class TestNewtonStep:
         U_aug = np.column_stack([np.ones(n),
                                  rng.standard_normal((n, L - 1))])
         p = clamped_probs(rng.standard_normal(n) * 3.0)
-        H = _likelihood_hessian(p, U_aug)
+        H = _likelihood_hessian(p, np.ascontiguousarray(U_aug.T))
         np.testing.assert_array_equal(H, H.T)
         dense = U_aug.T @ ((p * (1.0 - p))[:, None] * U_aug)
         assert np.max(np.abs(H - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -209,6 +209,32 @@ class TestNewtonStep:
         with pytest.raises(ValueError, match="mismatch"):
             newton_step(np.zeros(3), np.zeros((5, 4)), np.ones(5),
                         np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+class TestObjective:
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_in_place_evaluation_matches_out_of_place_form(self, lam):
+        # evaluate's in-place passes give the bits of the out-of-place
+        # composition on the same linear predictor
+        basis, design, y = _toy_problem(seed=5, n=300, M=8)
+        objective = _Objective(design.U, y, design.V, 1e-3, lam, basis)
+        theta = np.random.default_rng(5).standard_normal(
+            basis.basis_count + 1) * 100.0
+        theta[0] = 0.0
+        value, p = objective.evaluate(theta)
+
+        expected_p = clamped_probs(objective.U_aug @ theta)
+        # the draw reaches both clamp bounds
+        assert expected_p.min() == PROB_CLAMP
+        assert expected_p.max() == 1.0 - PROB_CLAMP
+        expected = (-_log_likelihood(expected_p, y)
+                    + 0.5 * theta @ objective.V_star @ theta)
+        if lam > 0.0:
+            w, E = objective._l1_w, objective._l1_E
+            expected += 0.5 * lam * float(w @ np.abs(E @ theta[1:]))
+        np.testing.assert_array_equal(p, expected_p)
+        assert type(value) is type(expected)
+        assert value.tobytes() == expected.tobytes()
 
 
 class TestFitInitial:
