@@ -10,8 +10,7 @@ from .design import (DesignMatrices, FunctionalDataset, assemble_blocks,
 from .metrics import MetricsReport, classification_metrics, ise, pmse
 from .model import (SflrModel, beta_hat, classify, null_regions,
                     predict_proba)
-from .solver import (FitResult, SolverConfig, fit, fit_initial,
-                     log_likelihood, lqa_weight_matrix, newton_step)
+from .solver import FitResult, SolverConfig, fit, fit_initial
 from .tuning import TuningGrid, TuningResult, score_ic, tune
 from .simulate import (ScenarioSpec, add_observation_noise, beta_one_null,
                        beta_three_null, beta_spectra, default_tuning_grid,
@@ -29,7 +28,7 @@ __all__ = [
     "classification_metrics", "classify", "compute_U", "compute_V",
     "default_tuning_grid", "eval_basis_many", "fit", "fit_initial",
     "generate_predictors", "generate_responses", "gram_block",
-    "interval_count_rule", "ise", "log_likelihood", "lqa_weight_matrix",
-    "make_basis", "newton_step", "null_regions", "pmse", "predict_proba",
-    "replicate_experiment", "scenario_alpha", "score_ic", "true_beta", "tune",
+    "interval_count_rule", "ise", "make_basis", "null_regions", "pmse",
+    "predict_proba", "replicate_experiment", "scenario_alpha", "score_ic",
+    "true_beta", "tune",
 ]

@@ -288,8 +288,7 @@ def _null_overlap_fraction(model: SflrModel, designed) -> float:
 
 
 def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
-                  replicate: int,
-                  fixed_params: tuple[float, float] | None = None) -> dict:
+                  replicate: int) -> dict:
     """Simulate one train/test pair, tune, fit, and score every metric.
 
     The fit uses a cubic basis with ``interval_count_rule`` intervals.
@@ -325,12 +324,10 @@ def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
     train = FunctionalDataset(ts, train_vals, y_train)
     basis = make_basis(1.0, 3, interval_count_rule(spec.grid_size))
 
-    if fixed_params is None:
-        tuned = tune(train, basis, grid, config)
-        lam, gam, res = tuned.best_lambda, tuned.best_gamma, tuned.best_fit
-    else:
-        lam, gam, res = fixed_params[0], fixed_params[1], None
+    tuned = tune(train, basis, grid, config)
+    lam, gam, res = tuned.best_lambda, tuned.best_gamma, tuned.best_fit
     if res is None:
+        # CV scores held-out folds and keeps no fit on all training curves
         design = build_design(train, basis, config.m)
         cfg = replace(config, lam=lam, gamma=gam)
         res = fit(design.U, y_train.astype(np.float64), basis, design, cfg)
@@ -361,8 +358,8 @@ def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
 
 
 def replicate_experiment(spec: ScenarioSpec, grid: TuningGrid,
-                         n_replicates: int, config: SolverConfig | None = None,
-                         fixed_params: tuple[float, float] | None = None) -> ReplicationResult:
+                         n_replicates: int,
+                         config: SolverConfig | None = None) -> ReplicationResult:
     """Run seeded replicates in order and summarize metric medians.
 
     Replicate r uses seed spec.seed + r; failed replicates are counted
@@ -374,8 +371,7 @@ def replicate_experiment(spec: ScenarioSpec, grid: TuningGrid,
     rows = []
     for r in range(n_replicates):
         try:
-            rows.append(run_replicate(spec, grid, cfg, r,
-                                      fixed_params=fixed_params))
+            rows.append(run_replicate(spec, grid, cfg, r))
         except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
             warnings.warn(f"replicate {r} failed: {exc}", RuntimeWarning,
                           stacklevel=2)

@@ -20,19 +20,18 @@ descents' Newton steps use.
 
 Each iterate is evaluated once: the linear predictor, sigmoid and clamp
 that give its objective value also give the probabilities of its Newton
-step. The evaluation runs in place on the linear predictor's buffer, with
-the same operations in the same order as ``clamped_probs`` and
-``_log_likelihood``. The likelihood Hessian U'DU is built from the
+step. ``_sigmoid``, ``clamped_probs`` and ``_log_likelihood`` are the one
+spelling of those formulas; each works in place on buffers it allocates
+and leaves its inputs alone. The likelihood Hessian U'DU is built from the
 transposed design [1, U]' (C-contiguous, made once per objective): the
 weights sqrt(p(1-p)) scale its contiguous rows, and the products of
-fixed 256-column blocks are summed in a fixed order. The descent,
-``newton_step`` and ``fit``'s ``df`` all use that one Hessian. The
-linear predictor and the gradient stay on the untransposed [1, U]: BLAS
-sums a matrix-vector product in another order when the layout flips, so
-their bits would change. Results are identical bytes at any OpenBLAS
-thread count (checked at 1 and 2 threads with OpenBLAS 0.3.31 only) for
-bases of at most 95 functions; on larger ones the Hessian's bits can
-still change.
+fixed 256-column blocks are summed in a fixed order. The descent and
+``fit``'s ``df`` both use that one Hessian. The linear predictor and the
+gradient stay on the untransposed [1, U]: BLAS sums a matrix-vector
+product in another order when the layout flips, so their bits would
+change. Results are identical bytes at any OpenBLAS thread count (checked
+at 1 and 2 threads with OpenBLAS 0.3.31 only) for bases of at most 95
+functions; on larger ones the Hessian's bits can still change.
 """
 from __future__ import annotations
 
@@ -96,27 +95,30 @@ class FitResult:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-safe for any eta
-    return 0.5 * (1.0 + np.tanh(0.5 * eta))
+    """0.5 * (1 + tanh(eta / 2)), overflow-safe for any eta, in a new
+    array."""
+    p = np.multiply(eta, 0.5, out=np.empty(np.shape(eta)))
+    np.tanh(p, out=p)
+    p += 1.0
+    p *= 0.5
+    return p
 
 
 def clamped_probs(eta: np.ndarray) -> np.ndarray:
-    return np.clip(_sigmoid(eta), PROB_CLAMP, 1.0 - PROB_CLAMP)
+    """The sigmoid of eta clamped to [PROB_CLAMP, 1 - PROB_CLAMP]."""
+    p = _sigmoid(eta)
+    return p.clip(PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
 
 
 def _log_likelihood(p: np.ndarray, y: np.ndarray) -> float:
-    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
-
-
-def log_likelihood(b: np.ndarray, alpha: float, U: np.ndarray,
-                   y: np.ndarray) -> float:
-    """Bernoulli log-likelihood with probabilities clamped to
-    [PROB_CLAMP, 1 - PROB_CLAMP]."""
-    b = np.asarray(b, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if U.shape[1] != b.size or U.shape[0] != y.size:
-        raise ValueError(f"dimension mismatch: U {U.shape}, b {b.size}, y {y.size}")
-    return _log_likelihood(clamped_probs(alpha + U @ b), y)
+    """Bernoulli log-likelihood sum(y log p + (1 - y) log(1 - p))."""
+    terms = np.log(p)
+    terms *= y
+    log_q = np.negative(p)
+    np.log1p(log_q, out=log_q)
+    log_q *= 1.0 - y
+    terms += log_q
+    return float(terms.sum())
 
 
 @lru_cache(maxsize=16)
@@ -137,31 +139,22 @@ def interval_norms(b: np.ndarray, W_blocks: np.ndarray) -> np.ndarray:
         np.einsum("ja,jab,jb->j", window, W_blocks, window), 0.0))
 
 
-def _lqa_penalty(W_blocks: np.ndarray, lam: float, T: float, pad: int):
-    """The map b -> lqa_weight_matrix(b, W_blocks, lam, T, pad), with its
-    scale (lambda/2)*sqrt(T/M) computed once for every b it is given."""
+def _lqa_penalty(W_blocks: np.ndarray, lam: float, T: float):
+    """The map b -> W~*, the intercept-augmented LQA penalty matrix
+    (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]|| with M = len(W_blocks)
+    subintervals and a leading zero row and column, with its scale
+    computed once for every b it is given.
+
+    Subinterval norms are floored at ``_NORM_FLOOR`` so null intervals
+    give a large finite weight instead of a division by zero.
+    """
     scale = 0.5 * lam * np.sqrt(T / len(W_blocks))
 
     def penalty(b: np.ndarray) -> np.ndarray:
         coef = 1.0 / np.maximum(interval_norms(b, W_blocks), _NORM_FLOOR)
-        return scale * assemble_blocks(W_blocks, coef, pad)
+        return scale * assemble_blocks(W_blocks, coef, pad=1)
 
     return penalty
-
-
-def lqa_weight_matrix(b_current: np.ndarray, W_blocks: np.ndarray,
-                      lam: float, T: float, pad: int = 0) -> np.ndarray:
-    """Scaled LQA penalty matrix (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]||,
-    with M = len(W_blocks) subintervals.
-
-    Subinterval norms are floored at ``_NORM_FLOOR`` so null intervals
-    give a large finite weight instead of a division by zero. ``pad``
-    leading zero rows and columns are added; 1 gives the
-    intercept-augmented W~*.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    return _lqa_penalty(W_blocks, lam, T, pad)(b_current)
 
 
 def _near_singular(H: np.ndarray) -> bool:
@@ -205,7 +198,13 @@ def _newton_solve(theta: np.ndarray, p: np.ndarray, U_aug: np.ndarray,
                   P: np.ndarray) -> np.ndarray:
     """The Newton step at theta, whose clamped probabilities are p, for
     the intercept-augmented penalty matrix P = V* + W~*; ``U_augT`` is
-    ``U_aug`` transposed and C-contiguous."""
+    ``U_aug`` transposed and C-contiguous.
+
+    The system is solved directly unless H is near-singular; then a
+    least-squares pseudo-solve gives the minimum-norm step, where a direct
+    solve would add an arbitrary component along H's near-null space that
+    step-halving cannot catch (the objective is flat, or nearly, along it).
+    """
     H = _likelihood_hessian(p, U_augT)
     H += P
     if not np.isfinite(H).all():
@@ -218,27 +217,6 @@ def _newton_solve(theta: np.ndarray, p: np.ndarray, U_aug: np.ndarray,
                       stacklevel=2)
         return np.linalg.lstsq(H, rhs, rcond=None)[0]
     return np.linalg.solve(H, rhs)
-
-
-def newton_step(theta: np.ndarray, U_aug: np.ndarray, y: np.ndarray,
-                V_star: np.ndarray, W_tilde_star: np.ndarray) -> np.ndarray:
-    """One Newton-Raphson update of (alpha, b) on the LQA objective.
-
-    ``V_star`` and ``W_tilde_star`` must already be intercept-augmented.
-    The system is solved directly unless H is near-singular; then a
-    least-squares pseudo-solve gives the minimum-norm step, where a direct
-    solve would add an arbitrary component along H's near-null space that
-    step-halving cannot catch (the objective is flat, or nearly, along it).
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if U_aug.shape[1] != theta.size or U_aug.shape[0] != y.size:
-        raise ValueError(f"dimension mismatch: U_aug {U_aug.shape}, "
-                         f"theta {theta.size}, y {y.size}")
-    p = clamped_probs(U_aug @ theta)
-    return theta + _newton_solve(theta, p, U_aug,
-                                 np.ascontiguousarray(U_aug.T), y,
-                                 V_star + W_tilde_star)
 
 
 def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
@@ -278,7 +256,6 @@ class _Objective:
     def __init__(self, U, y, V, gamma, lam=0.0,
                  basis: BSplineBasis | None = None):
         self.y = np.asarray(y, dtype=np.float64)
-        self._one_minus_y = 1.0 - self.y
         self.U_aug = np.column_stack([np.ones(U.shape[0]), U])
         self.U_augT = np.ascontiguousarray(self.U_aug.T)
         self.V_star = np.zeros((V.shape[0] + 1,) * 2)
@@ -296,25 +273,9 @@ class _Objective:
         return float(self._l1_w @ values)
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The objective at theta and its clamped probabilities.
-
-        ``clamped_probs`` and ``_log_likelihood``'s operations, in their
-        order, done in place on the linear predictor's buffer and two
-        log buffers.
-        """
-        p = self.U_aug @ theta
-        p *= 0.5
-        np.tanh(p, out=p)
-        p += 1.0
-        p *= 0.5
-        p.clip(PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
-        terms = np.log(p)
-        terms *= self.y
-        log_q = np.negative(p)
-        np.log1p(log_q, out=log_q)
-        log_q *= self._one_minus_y
-        terms += log_q
-        value = -float(terms.sum()) + 0.5 * theta @ self.V_star @ theta
+        """The objective at theta and its clamped probabilities."""
+        p = clamped_probs(self.U_aug @ theta)
+        value = -_log_likelihood(p, self.y) + 0.5 * theta @ self.V_star @ theta
         if self.lam > 0.0:
             value += self._half_lam * self.l1(theta[1:])
         return value, p
@@ -400,10 +361,9 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     theta, conv0, it0 = initial
 
     objective = _Objective(U, y, V, config.gamma, config.lam, basis)
+    lqa_penalty = _lqa_penalty(W_blocks, config.lam, T)
     trace: list[float] = []
     if config.lam > 0.0:
-        lqa_penalty = _lqa_penalty(W_blocks, config.lam, T, pad=1)
-
         def penalty(theta):
             P = lqa_penalty(theta[1:])
             P += objective.V_star
@@ -439,8 +399,7 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     theta_final = np.concatenate([[alpha], b])
     final_objective, p = objective.evaluate(theta_final)
     UDU = _likelihood_hessian(p, objective.U_augT)
-    Wt_aug = lqa_weight_matrix(b, W_blocks, config.lam, T, pad=1)
-    H = UDU + objective.V_star + Wt_aug
+    H = UDU + objective.V_star + lqa_penalty(b)
     try:
         df = float(np.trace(np.linalg.solve(H, UDU)))
     except np.linalg.LinAlgError:

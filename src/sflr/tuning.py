@@ -10,7 +10,8 @@ import numpy as np
 from .basis import BSplineBasis
 from .dataio import DataError
 from .design import DesignMatrices, FunctionalDataset, build_design
-from .solver import FitResult, SolverConfig, clamped_probs, fit, fit_initial
+from .solver import (FitResult, SolverConfig, _log_likelihood, clamped_probs,
+                     fit, fit_initial)
 
 CRITERIA = ("bic", "aic", "cv")
 
@@ -63,7 +64,8 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
 
 
 def _deviance(y: np.ndarray, p: np.ndarray) -> float:
-    return float(np.mean(-2.0 * (y * np.log(p) + (1 - y) * np.log1p(-p))))
+    """Mean Bernoulli deviance per curve."""
+    return -2.0 * _log_likelihood(p, y) / y.size
 
 
 def _cv_score(splits, starts, basis: BSplineBasis, design: DesignMatrices,

@@ -24,8 +24,8 @@ from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.simulate import (ScenarioSpec, beta_one_null, default_tuning_grid,
                            generate_predictors, generate_responses,
                            replicate_experiment)
-from sflr.solver import (SolverConfig, clamped_probs, fit, log_likelihood,
-                         lqa_weight_matrix)
+from sflr.solver import (SolverConfig, _likelihood_hessian, _lqa_penalty,
+                         _newton_solve, _Objective, fit)
 
 BASE_SEED = 20260823
 
@@ -115,42 +115,40 @@ def test_unpenalized_fit_matches_irls_oracle():
 # --- 2. derivative correctness ----------------------------------------------
 
 def test_gradient_and_hessian_match_finite_differences():
+    # the solver's own derivatives: the Hessian its Newton solve builds,
+    # and the gradient that solve uses, recovered as -H * step, against
+    # central differences of the objective it evaluates
     start = time.perf_counter()
     rng = np.random.default_rng(BASE_SEED)
     basis, design, y = _simulated_problem(BASE_SEED + 1, n=150, M=8)
     L = basis.basis_count
-    U_aug = np.column_stack([np.ones(y.size), design.U])
-    # frozen quadratic-approximation penalty around a reference coefficient
+    # frozen quadratic-approximation penalty around a reference coefficient,
+    # folded with the roughness term into the objective's quadratic part
     b_ref = rng.standard_normal(L)
-    Wt = lqa_weight_matrix(b_ref, design.W_blocks, 2.0, 1.0)
-    P = np.zeros((L + 1, L + 1))
-    P[1:, 1:] = 1e-3 * design.V + Wt
+    Wt = _lqa_penalty(design.W_blocks, 2.0, 1.0)(b_ref)
+    objective = _Objective(design.U, y, 1e-3 * design.V + Wt[1:, 1:], 1.0)
+    U_aug, U_augT, P = objective.U_aug, objective.U_augT, objective.V_star
 
-    def objective(theta):
-        ll = log_likelihood(theta[1:], theta[0], design.U, y)
-        return -ll + 0.5 * theta @ P @ theta
+    def value(theta):
+        return objective.evaluate(theta)[0]
 
-    def grad(theta):
-        p = clamped_probs(U_aug @ theta)
-        return -U_aug.T @ (y - p) + P @ theta
-
-    def hess(theta):
-        p = clamped_probs(U_aug @ theta)
-        d = p * (1.0 - p)
-        return U_aug.T @ (d[:, None] * U_aug) + P
+    def hess_and_grad(theta):
+        p = objective.evaluate(theta)[1]
+        H = _likelihood_hessian(p, U_augT) + P
+        return H, -(H @ _newton_solve(theta, p, U_aug, U_augT, y, P))
 
     h = 1e-6
     for _ in range(50):
         theta = 0.1 * rng.standard_normal(L + 1)
-        g = grad(theta)
-        H = hess(theta)
+        H, g = hess_and_grad(theta)
         fd_g = np.empty_like(g)
         fd_H = np.empty_like(H)
         for k in range(L + 1):
             e = np.zeros(L + 1)
             e[k] = h
-            fd_g[k] = (objective(theta + e) - objective(theta - e)) / (2 * h)
-            fd_H[:, k] = (grad(theta + e) - grad(theta - e)) / (2 * h)
+            fd_g[k] = (value(theta + e) - value(theta - e)) / (2 * h)
+            fd_H[:, k] = (hess_and_grad(theta + e)[1]
+                          - hess_and_grad(theta - e)[1]) / (2 * h)
         assert np.max(np.abs(fd_g - g)) / max(1.0, np.max(np.abs(g))) < 1e-5
         assert np.max(np.abs(fd_H - H)) / np.max(np.abs(H)) < 1e-5
     assert time.perf_counter() - start < 10.0

@@ -212,9 +212,8 @@ class TestReplicationHarness:
 
     def test_single_replicate_median_is_the_row(self):
         spec = ScenarioSpec("one_null", n_train=100, n_test=60, seed=5)
-        res = replicate_experiment(spec, None, 1,
-                                   SolverConfig(max_iterations=200),
-                                   fixed_params=(8.0, 1e-4))
+        res = replicate_experiment(spec, TuningGrid((8.0,), (1e-4,)), 1,
+                                   SolverConfig(max_iterations=200))
         assert res.medians["mcr"] == res.rows[0]["mcr"]
 
     def test_bit_exact_determinism(self, small_run):
@@ -231,15 +230,14 @@ class TestReplicationHarness:
         calls = []
         inner = sflr.simulate.run_replicate
 
-        def recording(spec, grid, config, replicate, **kwargs):
+        def recording(spec, grid, config, replicate):
             calls.append((replicate, threading.get_ident()))
-            return inner(spec, grid, config, replicate, **kwargs)
+            return inner(spec, grid, config, replicate)
 
         monkeypatch.setattr(sflr.simulate, "run_replicate", recording)
         spec = ScenarioSpec("one_null", n_train=60, n_test=30, seed=5)
-        res = replicate_experiment(spec, None, 3,
-                                   SolverConfig(max_iterations=50),
-                                   fixed_params=(4.0, 1e-4))
+        res = replicate_experiment(spec, TuningGrid((4.0,), (1e-4,)), 3,
+                                   SolverConfig(max_iterations=200))
         assert calls == [(r, threading.get_ident()) for r in range(3)]
         assert [row["replicate"] for row in res.rows] == [0, 1, 2]
 
@@ -247,16 +245,15 @@ class TestReplicationHarness:
         # one training curve leaves one class, so each replicate fails
         spec = ScenarioSpec("one_null", n_train=1, n_test=30, seed=0)
         with pytest.warns(RuntimeWarning, match="failed"):
-            res = replicate_experiment(spec, None, 2,
-                                       SolverConfig(max_iterations=10),
-                                       fixed_params=(1.0, 1e-4))
+            res = replicate_experiment(spec, TuningGrid((1.0,), (1e-4,)), 2,
+                                       SolverConfig(max_iterations=10))
         assert res.n_failed == 2
         assert res.rows == [] and res.medians["mcr"] is None
 
     def test_run_replicate_row_contract(self):
         spec = ScenarioSpec("one_null", n_train=80, n_test=50, seed=13)
-        row = run_replicate(spec, None, SolverConfig(max_iterations=200), 2,
-                            fixed_params=(4.0, 1e-4))
+        grid = TuningGrid((4.0,), (1e-4,))
+        row = run_replicate(spec, grid, SolverConfig(max_iterations=200), 2)
         for key in ("replicate", "mcr", "sensitivity", "specificity", "fdr",
                     "miss_rate", "ise0", "ise1", "pmse", "lambda", "gamma",
                     "converged", "null_fraction"):
@@ -272,6 +269,5 @@ class TestReplicationHarness:
         # mean of the curves) reduces to the true probabilities
         faint = run_replicate(ScenarioSpec("one_null", n_train=80, n_test=50,
                                            snr=1e12, seed=13),
-                              None, SolverConfig(max_iterations=200), 2,
-                              fixed_params=(4.0, 1e-4))
+                              grid, SolverConfig(max_iterations=200), 2)
         assert {k: faint[k] for k in bayes} == {k: row[k] for k in bayes}

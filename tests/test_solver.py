@@ -5,17 +5,43 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from sflr import solver
 from sflr.basis import gram_block, make_basis
 from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.model import SflrModel, beta_hat
 from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig, _Objective,
-                         _likelihood_hessian, _log_likelihood, clamped_probs,
-                         fit, fit_initial, interval_norms, log_likelihood,
-                         lqa_weight_matrix, newton_step)
+                         _likelihood_hessian, _log_likelihood, _lqa_penalty,
+                         _newton_solve, clamped_probs, fit, fit_initial,
+                         interval_norms)
 
 
 def _sigmoid(eta):
     return 1.0 / (1.0 + np.exp(-np.clip(eta, -700, 700)))
+
+
+# out-of-place forms of the solver's in-place sigmoid, clamp and
+# log-likelihood, which must give the same bits
+def _tanh_sigmoid(eta):
+    return 0.5 * (1.0 + np.tanh(0.5 * eta))
+
+
+def _clamped_oracle(eta):
+    return np.clip(_tanh_sigmoid(eta), PROB_CLAMP, 1.0 - PROB_CLAMP)
+
+
+def _log_likelihood_oracle(p, y):
+    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+
+
+def _log_likelihood_at(b, alpha, U, y):
+    return _log_likelihood(clamped_probs(alpha + U @ b), y)
+
+
+def _newton_update(theta, U_aug, y, P):
+    """theta plus the solver's Newton step from it."""
+    p = clamped_probs(U_aug @ theta)
+    return theta + _newton_solve(theta, p, U_aug,
+                                 np.ascontiguousarray(U_aug.T), y, P)
 
 
 def irls_logistic(X, y, tol=1e-12, max_iter=200):
@@ -49,14 +75,14 @@ class TestLogLikelihood:
     def test_null_model(self):
         y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
         U = np.zeros((5, 3))
-        ll = log_likelihood(np.zeros(3), 0.0, U, y)
+        ll = _log_likelihood_at(np.zeros(3), 0.0, U, y)
         assert ll == pytest.approx(5 * math.log(0.5), abs=1e-12)
 
     def test_clamping_by_hand(self):
         # one sample with y=1 and a huge linear predictor: probability is
         # clamped at 1 - delta before the log
         U = np.array([[40.0]])
-        ll = log_likelihood(np.array([1.0]), 0.0, U, np.array([1.0]))
+        ll = _log_likelihood_at(np.array([1.0]), 0.0, U, np.array([1.0]))
         assert ll == pytest.approx(math.log(1.0 - 1e-5), abs=1e-15)
 
     def test_matches_direct_formula(self):
@@ -67,12 +93,37 @@ class TestLogLikelihood:
         alpha = 0.3
         p = _sigmoid(alpha + U @ b)
         ref = np.sum(y * np.log(p) + (1 - y) * np.log(1 - p))
-        ll = log_likelihood(b, alpha, U, y)
+        ll = _log_likelihood_at(b, alpha, U, y)
         assert ll == pytest.approx(ref, abs=1e-10)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            log_likelihood(np.zeros(3), 0.0, np.zeros((5, 4)), np.ones(5))
+
+class TestInPlaceFormulas:
+    def test_bits_match_out_of_place_forms_and_inputs_stay(self):
+        rng = np.random.default_rng(9)
+        eta = rng.standard_normal(1000) * 20.0
+        y = rng.integers(0, 2, eta.size).astype(float)
+        eta_bytes, y_bytes = eta.tobytes(), y.tobytes()
+
+        assert solver._sigmoid(eta).tobytes() == _tanh_sigmoid(eta).tobytes()
+        p = clamped_probs(eta)
+        expected = _clamped_oracle(eta)
+        assert p.min() == PROB_CLAMP and p.max() == 1.0 - PROB_CLAMP
+        assert p.tobytes() == expected.tobytes()
+        p_bytes = p.tobytes()
+        ll = _log_likelihood(p, y)
+        assert type(ll) is float
+        assert ll == _log_likelihood_oracle(expected, y)
+        # a sum this size hides last-bit differences in its small terms
+        for i in range(p.size):
+            assert _log_likelihood(p[i:i + 1], y[i:i + 1]) == \
+                _log_likelihood_oracle(expected[i:i + 1], y[i:i + 1])
+        assert (eta.tobytes(), y.tobytes(), p.tobytes()) == \
+            (eta_bytes, y_bytes, p_bytes)
+
+    def test_zero_d_input(self):
+        assert clamped_probs(40.0) == 1.0 - PROB_CLAMP
+        assert clamped_probs(np.float64(-40.0)) == PROB_CLAMP
+        assert solver._sigmoid(0.0) == 0.5
 
 
 class TestLqaWeightMatrix:
@@ -85,9 +136,16 @@ class TestLqaWeightMatrix:
             basis, m=2)
         return basis, design.W_blocks
 
+    @staticmethod
+    def weights(b, W_blocks, lam):
+        """W~* without its zero intercept row and column."""
+        Wt = _lqa_penalty(W_blocks, lam, 1.0)(b)
+        assert np.all(Wt[0] == 0.0) and np.all(Wt[:, 0] == 0.0)
+        return Wt[1:, 1:]
+
     def test_zero_lambda_gives_zero_matrix(self, setup):
         _, W_blocks = setup
-        W = lqa_weight_matrix(np.ones(13), W_blocks, 0.0, 1.0)
+        W = self.weights(np.ones(13), W_blocks, 0.0)
         assert np.all(W == 0.0)
 
     def test_constant_beta_hand_algebra(self, setup):
@@ -95,20 +153,20 @@ class TestLqaWeightMatrix:
         # matrix collapses to (lambda/2) * Gram
         _, W_blocks = setup
         lam = 3.0
-        Wt = lqa_weight_matrix(np.ones(13), W_blocks, lam, 1.0)
+        Wt = self.weights(np.ones(13), W_blocks, lam)
         gram = assemble_blocks(W_blocks)
         np.testing.assert_allclose(Wt, 0.5 * lam * gram, rtol=1e-12)
 
     def test_zero_coefficients_floor_active(self, setup):
         _, W_blocks = setup
-        Wt = lqa_weight_matrix(np.zeros(13), W_blocks, 1.0, 1.0)
+        Wt = self.weights(np.zeros(13), W_blocks, 1.0)
         assert np.all(np.isfinite(Wt))
         assert np.max(Wt) > 1e5  # large but finite
 
     def test_symmetric_psd(self, setup):
         _, W_blocks = setup
         rng = np.random.default_rng(2)
-        Wt = lqa_weight_matrix(rng.standard_normal(13), W_blocks, 2.0, 1.0)
+        Wt = self.weights(rng.standard_normal(13), W_blocks, 2.0)
         assert np.allclose(Wt, Wt.T)
         assert np.linalg.eigvalsh(Wt).min() >= -1e-10
 
@@ -125,7 +183,7 @@ class TestNewtonStep:
         p = _sigmoid(X @ theta0)
         d = p * (1 - p)
         ref = theta0 + np.linalg.solve(X.T @ (d[:, None] * X), X.T @ (y - p))
-        got = newton_step(theta0, X, y, zero, zero)
+        got = _newton_update(theta0, X, y, zero)
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
     def test_fixed_point_at_optimum(self):
@@ -135,7 +193,7 @@ class TestNewtonStep:
         X = np.column_stack([np.ones(80), x])
         mle = irls_logistic(X, y)
         zero = np.zeros((2, 2))
-        step = newton_step(mle, X, y, zero, zero)
+        step = _newton_update(mle, X, y, zero)
         np.testing.assert_allclose(step, mle, atol=1e-10)
 
     def test_gradient_matches_finite_difference(self):
@@ -189,7 +247,7 @@ class TestNewtonStep:
         rhs = U_aug.T @ (y - p)
         with pytest.warns(RuntimeWarning,
                           match="^ill-conditioned Newton system"):
-            got = newton_step(theta, U_aug, y, zero, zero)
+            got = _newton_update(theta, U_aug, y, zero)
         np.testing.assert_array_equal(
             got, theta + np.linalg.lstsq(H, rhs, rcond=None)[0])
 
@@ -205,11 +263,6 @@ class TestNewtonStep:
         dense = U_aug.T @ ((p * (1.0 - p))[:, None] * U_aug)
         assert np.max(np.abs(H - dense)) <= 1e-12 * np.max(np.abs(dense))
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            newton_step(np.zeros(3), np.zeros((5, 4)), np.ones(5),
-                        np.zeros((4, 4)), np.zeros((4, 4)))
-
 
 class TestObjective:
     @pytest.mark.parametrize("lam", [0.0, 2.0])
@@ -223,11 +276,11 @@ class TestObjective:
         theta[0] = 0.0
         value, p = objective.evaluate(theta)
 
-        expected_p = clamped_probs(objective.U_aug @ theta)
+        expected_p = _clamped_oracle(objective.U_aug @ theta)
         # the draw reaches both clamp bounds
         assert expected_p.min() == PROB_CLAMP
         assert expected_p.max() == 1.0 - PROB_CLAMP
-        expected = (-_log_likelihood(expected_p, y)
+        expected = (-_log_likelihood_oracle(expected_p, y)
                     + 0.5 * theta @ objective.V_star @ theta)
         if lam > 0.0:
             w, E = objective._l1_w, objective._l1_E

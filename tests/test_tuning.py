@@ -266,3 +266,13 @@ class TestTune:
         assert [row["score"] == math.inf for row in result.table] == \
             [False, True, False, True]
         assert result.best_gamma == 1e-3
+
+
+def test_deviance_matches_mean_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    p = clamped_probs(rng.standard_normal(997) * 20.0)
+    y = rng.integers(0, 2, p.size).astype(float)
+    assert p.min() == solver.PROB_CLAMP and p.max() == 1.0 - solver.PROB_CLAMP
+    expected = np.mean(-2.0 * (y * np.log(p) + (1 - y) * np.log1p(-p)))
+    got = tuning._deviance(y, p)
+    assert type(got) is float and got.hex() == float(expected).hex()
