@@ -180,14 +180,16 @@ def _labeled_basis(args):
 def _cmd_fit(args) -> int:
     data, M, basis = _labeled_basis(args)
     design = build_design(data, basis, args.m)
+    # the descent reads only U: drop the curves before it runs
+    grid, labels = data.grid, data.labels.astype(float)
+    del data
     config = SolverConfig(lam=args.lam, gamma=args.gamma, m=args.m)
     try:
-        result = fit(design.U, data.labels.astype(float), basis, design,
-                     config)
+        result = fit(design.U, labels, basis, design, config)
     except np.linalg.LinAlgError as exc:  # e.g. penalties that overflow
         print(f"no convergence: {exc}; no model written", file=sys.stderr)
         return EXIT_NOCONV
-    model = SflrModel(basis=basis, fit=result, training_grid=data.grid,
+    model = SflrModel(basis=basis, fit=result, training_grid=grid,
                       m=args.m)
     model_mod.save(model, args.out)
     # the fitted curve on 1001 points, with each point's null flag

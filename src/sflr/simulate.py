@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import eval_basis_many, make_basis
-from .design import FunctionalDataset, build_design
+from .design import FunctionalDataset, build_design, trapezoid_weights
 from .metrics import classification_metrics, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
 from .solver import SolverConfig, _sigmoid, fit
@@ -193,16 +193,19 @@ def generate_predictors(spec: ScenarioSpec, n_samples: int | None = None,
 
 
 def _linear_predictor(X: FunctionalDataset, beta, alpha: float) -> np.ndarray:
-    bvals = np.asarray(beta(X.grid))
-    return alpha + np.trapezoid(X.values * bvals, X.grid, axis=1)
+    """alpha plus the integral of beta against each curve, by the
+    ``trapezoid_weights`` rule that ``compute_U`` integrates with: one
+    matrix-vector product, with no N x G temporary."""
+    return alpha + X.values @ (trapezoid_weights(X.grid) * beta(X.grid))
 
 
 def generate_responses(X: FunctionalDataset, beta, alpha: float,
                        seed_or_rng) -> tuple[np.ndarray, np.ndarray]:
     """Bernoulli labels and their true probabilities for given curves.
 
-    The integral of beta against each curve uses the same trapezoid rule
-    as the design matrix, keeping generation and estimation consistent.
+    The integral of beta against each curve uses ``trapezoid_weights``,
+    the rule ``compute_U`` builds the design matrix with, keeping
+    generation and estimation consistent.
     """
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))

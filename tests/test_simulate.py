@@ -1,12 +1,15 @@
 """Scenario generators: coefficient functions, predictors, responses, harness."""
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sflr.design import FunctionalDataset
-from sflr.simulate import (NULL_REGIONS, ScenarioSpec, add_observation_noise,
+from sflr.basis import eval_basis_many, make_basis
+from sflr.design import FunctionalDataset, compute_U
+from sflr.simulate import (NULL_REGIONS, ScenarioSpec, _linear_predictor,
+                           add_observation_noise,
                            beta_one_null, beta_spectra, beta_three_null,
                            calibrate_alpha, default_tuning_grid,
                            generate_predictors, generate_responses,
@@ -168,6 +171,57 @@ class TestGenerateResponses:
         y, p = generate_responses(X, beta_one_null, 0.0, 99)
         se = math.sqrt(np.mean(p * (1 - p)) / p.size)
         assert abs(y.mean() - p.mean()) < 3 * se
+
+
+class TestLinearPredictor:
+    """``_linear_predictor`` integrates beta by ``trapezoid_weights``, the
+    rule ``compute_U`` builds the design matrix with."""
+
+    @staticmethod
+    def _trapezoid_reference(X, beta, alpha):
+        return alpha + np.trapezoid(X.values * beta(X.grid), X.grid, axis=1)
+
+    def test_matches_trapezoid_on_an_uneven_grid(self):
+        rng = np.random.default_rng(8)
+        ts = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, 61)), [1.0]])
+        X = FunctionalDataset(ts, rng.standard_normal((300, ts.size)))
+        got = _linear_predictor(X, beta_one_null, 0.7)
+        ref = self._trapezoid_reference(X, beta_one_null, 0.7)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scenario", ["one_null", "three_null", "spectra"])
+    @pytest.mark.parametrize("grid_size", [101, 201])
+    def test_matches_trapezoid_on_scenario_grids(self, scenario, grid_size):
+        spec = ScenarioSpec(scenario, n_train=400, grid_size=grid_size,
+                            seed=3)
+        X = generate_predictors(spec)
+        beta, _ = true_beta(scenario)
+        got = _linear_predictor(X, beta, -0.4)
+        ref = self._trapezoid_reference(X, beta, -0.4)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("l", [0, 7, 32])
+    def test_basis_function_beta_gives_the_design_column(self, l):
+        # generation and estimation share one quadrature rule
+        spec = ScenarioSpec("one_null", n_train=200, seed=4)
+        X = generate_predictors(spec)
+        basis = make_basis(1.0, 3, 30)
+        column = compute_U(X, basis)[:, l]
+        got = _linear_predictor(
+            X, lambda t: eval_basis_many(basis, t)[:, l], 0.0)
+        assert np.max(np.abs(got - column)) <= 1e-12 * np.max(np.abs(column))
+
+    def test_generate_responses_holds_no_copy_of_the_curves(self):
+        rng = np.random.default_rng(5)
+        X = FunctionalDataset(np.linspace(0, 1, 201),
+                              rng.standard_normal((2000, 201)))
+        tracemalloc.start()
+        try:
+            generate_responses(X, beta_one_null, 0.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.values.nbytes
 
 
 def test_calibrate_alpha_balances_spectra():

@@ -198,14 +198,18 @@ class TestNewtonStep:
 
     def test_gradient_matches_finite_difference(self):
         # central differences on the quadratic-approximation objective
+        # against the gradient the solver's Newton step implies: the step
+        # solves H step = -grad, so grad = -(H @ step)
         rng = np.random.default_rng(6)
         n, L = 60, 5
         U_aug = np.column_stack([np.ones(n), rng.standard_normal((n, L - 1))])
+        U_augT = np.ascontiguousarray(U_aug.T)
         y = rng.integers(0, 2, n).astype(float)
         V = rng.standard_normal((L, L))
         V = V.T @ V * 0.1
         Wt = rng.standard_normal((L, L))
         Wt = Wt.T @ Wt * 0.05
+        P = V + Wt
 
         def J(theta):
             eta = U_aug @ theta
@@ -214,8 +218,9 @@ class TestNewtonStep:
 
         for _ in range(10):
             theta = rng.standard_normal(L) * 0.5
-            p = _sigmoid(U_aug @ theta)
-            grad = -U_aug.T @ (y - p) + V @ theta + Wt @ theta
+            p = clamped_probs(U_aug @ theta)
+            H = _likelihood_hessian(p, U_augT) + P
+            grad = -(H @ _newton_solve(theta, p, U_aug, U_augT, y, P))
             h = 1e-6
             fd = np.array([
                 (J(theta + h * e) - J(theta - h * e)) / (2 * h)
