@@ -110,5 +110,6 @@ def ise(beta_hat, beta_true, null_region: list[Interval],
         total = sum(_simpson(sq_err, a, b) for a, b in pieces if b > a)
         return total / length
 
-    nulls = sorted((float(a), float(b)) for a, b in null_region)
+    # the union of the null intervals: overlaps count once
+    nulls = complement_intervals(complement_intervals(null_region, T), T)
     return component(nulls), component(complement_intervals(nulls, T))

@@ -5,18 +5,20 @@ sparsity penalty, with probability clamping, step-halving against the
 exact penalized objective, coefficient thresholding, and null-interval
 detection.
 
-Note on penalty scaling: the iteration uses the gradient/Hessian forms
--U'(y-c) + V*b + W~*b and U'DU + V* + W~* with V* = gamma*V and
-W~* = (lambda/2)*sqrt(T/M)*sum_j ||beta_[j]||^-1 W_j. The exact function
-this iteration descends is therefore
+Penalty scaling, stated here once: each LQA Newton step uses the
+gradient -U'(y-c) + (V* + W~*)b and the Hessian U'DU + V* + W~*, with
+V* = gamma*V and W~* = (lambda/2)*sqrt(T/M)*sum_j W_j / ||beta_[j]||, the
+subinterval norms floored at ``_NORM_FLOOR``. The exact function this
+iteration descends is therefore
 
     -loglik + (gamma/2) * b'Vb + (lambda/2) * integral |beta|,
 
 which is what step-halving monitors (``objective_trace``) and what
-``final_objective`` reports at the thresholded coefficients. The initial
-lambda = 0 fit descends the same function with its L1 term off; one
-``_Objective`` holds it, with the [1, U] design and the padded V* that both
-descents' Newton steps use.
+``final_objective`` reports at the thresholded coefficients. One
+``_Objective`` owns each fit's penalized problem: the [1, U] design, V*
+and W~* padded with a zero intercept row and column, the value, and each
+Newton step's P = V* + W~*. The initial lambda = 0 fit descends the same
+function with its L1 term off, and its P is V*.
 
 Each iterate is evaluated once: the linear predictor, sigmoid and clamp
 that give its objective value also give the probabilities of its Newton
@@ -29,9 +31,11 @@ fixed 256-column blocks are summed in a fixed order. The descent and
 ``fit``'s ``df`` both use that one Hessian. The linear predictor and the
 gradient stay on the untransposed [1, U]: BLAS sums a matrix-vector
 product in another order when the layout flips, so their bits would
-change. Results are identical bytes at any OpenBLAS thread count (checked
-at 1 and 2 threads with OpenBLAS 0.3.31 only) for bases of at most 95
-functions; on larger ones the Hessian's bits can still change.
+change. Results are identical bytes at 1 and 2 OpenBLAS threads (checked
+with OpenBLAS 0.3.31 only) for problems of at most 96 unknowns: 95 basis
+functions plus the intercept. Above that, the LAPACK LU solve's bits
+change with the thread count, and so do the Hessian's except at multiples
+of 8 columns.
 """
 from __future__ import annotations
 
@@ -139,24 +143,6 @@ def interval_norms(b: np.ndarray, W_blocks: np.ndarray) -> np.ndarray:
         np.einsum("ja,jab,jb->j", window, W_blocks, window), 0.0))
 
 
-def _lqa_penalty(W_blocks: np.ndarray, lam: float, T: float):
-    """The map b -> W~*, the intercept-augmented LQA penalty matrix
-    (lambda/2)*sqrt(T/M) * sum_j W_j / ||beta_[j]|| with M = len(W_blocks)
-    subintervals and a leading zero row and column, with its scale
-    computed once for every b it is given.
-
-    Subinterval norms are floored at ``_NORM_FLOOR`` so null intervals
-    give a large finite weight instead of a division by zero.
-    """
-    scale = 0.5 * lam * np.sqrt(T / len(W_blocks))
-
-    def penalty(b: np.ndarray) -> np.ndarray:
-        coef = 1.0 / np.maximum(interval_norms(b, W_blocks), _NORM_FLOOR)
-        return scale * assemble_blocks(W_blocks, coef, pad=1)
-
-    return penalty
-
-
 def _near_singular(H: np.ndarray) -> bool:
     """True when the Cholesky factorization H = R'R of the symmetric PSD H
     fails, or when the ratio of R's largest to smallest pivot exceeds
@@ -197,8 +183,8 @@ def _newton_solve(theta: np.ndarray, p: np.ndarray, U_aug: np.ndarray,
                   U_augT: np.ndarray, y: np.ndarray,
                   P: np.ndarray) -> np.ndarray:
     """The Newton step at theta, whose clamped probabilities are p, for
-    the intercept-augmented penalty matrix P = V* + W~*; ``U_augT`` is
-    ``U_aug`` transposed and C-contiguous.
+    the intercept-augmented penalty matrix P, which it only reads;
+    ``U_augT`` is ``U_aug`` transposed and C-contiguous.
 
     The system is solved directly unless H is near-singular; then a
     least-squares pseudo-solve gives the minimum-norm step, where a direct
@@ -242,19 +228,18 @@ def _l1_quadrature(T: float, degree: int, M: int) -> tuple[np.ndarray,
 
 
 class _Objective:
-    """The penalized objective that both descents minimise, and the arrays
-    their Newton steps share.
+    """One fit's penalized problem (see the module docstring): its value,
+    and the arrays and penalty matrix of each Newton step.
 
-    -loglik + (1/2) theta' V* theta + (lambda/2) * integral |beta| at
-    theta = (alpha, b), where V* = gamma*V padded with a zero row and
-    column for the intercept, so the middle term is (gamma/2) b'Vb. The L1
-    integral uses 20-node Gauss-Legendre per subinterval of ``basis`` and
-    is left out at lambda = 0. ``U_aug`` is [1, U] and ``U_augT`` its
-    C-contiguous transpose, from which the likelihood Hessian is built.
+    ``U_aug`` is [1, U] and ``U_augT`` its C-contiguous transpose, from
+    which the likelihood Hessian is built. At lambda > 0, ``basis`` and
+    ``W_blocks`` give the L1 integral, by 20-node Gauss-Legendre per
+    subinterval, and W~*; at lambda = 0 both are left out.
     """
 
     def __init__(self, U, y, V, gamma, lam=0.0,
-                 basis: BSplineBasis | None = None):
+                 basis: BSplineBasis | None = None,
+                 W_blocks: np.ndarray | None = None):
         self.y = np.asarray(y, dtype=np.float64)
         self.U_aug = np.column_stack([np.ones(U.shape[0]), U])
         self.U_augT = np.ascontiguousarray(self.U_aug.T)
@@ -263,9 +248,10 @@ class _Objective:
         self.lam = lam
         self._half_lam = 0.5 * lam
         if lam > 0.0:
-            self._l1_w, self._l1_E = _l1_quadrature(
-                basis.domain_end, basis.degree,
-                basis.interior_interval_count)
+            T, M = basis.domain_end, basis.interior_interval_count
+            self._l1_w, self._l1_E = _l1_quadrature(T, basis.degree, M)
+            self._W_blocks = W_blocks
+            self._lqa_scale = self._half_lam * np.sqrt(T / M)
 
     def l1(self, b: np.ndarray) -> float:
         values = self._l1_E @ b
@@ -280,21 +266,38 @@ class _Objective:
             value += self._half_lam * self.l1(theta[1:])
         return value, p
 
+    def lqa_matrix(self, b: np.ndarray) -> np.ndarray:
+        """W~* at b, in a new array (lambda > 0 only)."""
+        coef = 1.0 / np.maximum(interval_norms(b, self._W_blocks),
+                                _NORM_FLOOR)
+        W = assemble_blocks(self._W_blocks, coef, pad=1)
+        W *= self._lqa_scale
+        return W
 
-def _descend(theta, objective, penalty, config, trace=None):
+    def newton_penalty(self, theta: np.ndarray) -> np.ndarray:
+        """P = V* + W~* of the Newton step at theta: a new array at
+        lambda > 0, and V* itself at lambda = 0."""
+        if self.lam > 0.0:
+            P = self.lqa_matrix(theta[1:])
+            P += self.V_star
+            return P
+        return self.V_star
+
+
+def _descend(theta, objective, config, trace=None):
     """Newton iterations with step-halving on ``objective``; returns
     (theta, converged, iters).
 
-    ``penalty(theta)`` gives the intercept-augmented P = V* + W~* of each
-    step. Each iterate is evaluated once: the probabilities of the
-    accepted candidate are those its Newton step is built from.
+    Each iterate is evaluated once: the probabilities of the accepted
+    candidate are those its Newton step is built from.
     """
     U_aug, U_augT, y = objective.U_aug, objective.U_augT, objective.y
     obj, p = objective.evaluate(theta)
     if trace is not None:
         trace.append(obj)
     for it in range(1, config.max_iterations + 1):
-        step = _newton_solve(theta, p, U_aug, U_augT, y, penalty(theta))
+        step = _newton_solve(theta, p, U_aug, U_augT, y,
+                             objective.newton_penalty(theta))
         scale, accepted = 1.0, False
         for _ in range(_STEP_HALVING_MAX + 1):
             cand = theta + scale * step
@@ -325,11 +328,7 @@ def fit_initial(U: np.ndarray, y: np.ndarray, V: np.ndarray,
     iteration count.
     """
     objective = _Objective(U, y, V, config.gamma)
-    # P = V* + W~* with W~* = 0 at every step; adding the zeros turns
-    # V*'s -0.0 entries (gamma = 0) into 0.0, as adding an LQA W~* does
-    P = objective.V_star + np.zeros_like(objective.V_star)
-    return _descend(np.zeros(objective.U_aug.shape[1]), objective,
-                    lambda theta: P, config)
+    return _descend(np.zeros(objective.U_aug.shape[1]), objective, config)
 
 
 def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
@@ -360,17 +359,11 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
         initial = fit_initial(U, y, V, config)
     theta, conv0, it0 = initial
 
-    objective = _Objective(U, y, V, config.gamma, config.lam, basis)
-    lqa_penalty = _lqa_penalty(W_blocks, config.lam, T)
+    objective = _Objective(U, y, V, config.gamma, config.lam, basis,
+                           W_blocks)
     trace: list[float] = []
     if config.lam > 0.0:
-        def penalty(theta):
-            P = lqa_penalty(theta[1:])
-            P += objective.V_star
-            return P
-
-        theta, converged, iters = _descend(theta, objective, penalty,
-                                           config, trace)
+        theta, converged, iters = _descend(theta, objective, config, trace)
     else:
         # no sparsity penalty: the initialization already solved the problem
         converged, iters = conv0, it0
@@ -399,7 +392,9 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     theta_final = np.concatenate([[alpha], b])
     final_objective, p = objective.evaluate(theta_final)
     UDU = _likelihood_hessian(p, objective.U_augT)
-    H = UDU + objective.V_star + lqa_penalty(b)
+    H = UDU + objective.V_star
+    if config.lam > 0.0:
+        H += objective.lqa_matrix(b)
     try:
         df = float(np.trace(np.linalg.solve(H, UDU)))
     except np.linalg.LinAlgError:

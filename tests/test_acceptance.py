@@ -24,8 +24,8 @@ from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.simulate import (ScenarioSpec, beta_one_null, default_tuning_grid,
                            generate_predictors, generate_responses,
                            replicate_experiment)
-from sflr.solver import (SolverConfig, _likelihood_hessian, _lqa_penalty,
-                         _newton_solve, _Objective, fit)
+from sflr.solver import (SolverConfig, _likelihood_hessian, _newton_solve,
+                         _Objective, fit)
 
 BASE_SEED = 20260823
 
@@ -125,7 +125,8 @@ def test_gradient_and_hessian_match_finite_differences():
     # frozen quadratic-approximation penalty around a reference coefficient,
     # folded with the roughness term into the objective's quadratic part
     b_ref = rng.standard_normal(L)
-    Wt = _lqa_penalty(design.W_blocks, 2.0, 1.0)(b_ref)
+    Wt = _Objective(design.U, y, design.V, 0.0, 2.0, basis,
+                    design.W_blocks).lqa_matrix(b_ref)
     objective = _Objective(design.U, y, 1e-3 * design.V + Wt[1:, 1:], 1.0)
     U_aug, U_augT, P = objective.U_aug, objective.U_augT, objective.V_star
 

@@ -1,12 +1,17 @@
-"""Results do not depend on the BLAS thread count.
+"""Results do not depend on the BLAS thread count, up to 96 unknowns.
 
 OpenBLAS splits a large enough product across its threads, which changes
 the order of the sums. The solver sums the likelihood Hessian over
-256-row blocks, which it does not split for bases of up to 95 functions.
-Each check runs the same work in two subprocesses, at 1 and at 2 OpenBLAS
-threads, and compares the output byte for byte. The thread count is fixed
-when OpenBLAS loads, so it cannot be changed in-process. At N = 450 even
-the whole-N product is not split, so the checks use N = 1000.
+256-row blocks, which it does not split while a fit has at most 96
+unknowns (95 basis functions plus the intercept); LAPACK's LU solve keeps
+its bits up to that size too. Above it the LU solve changes, and so does
+the Hessian except at multiples of 8 columns: a one_null fit at
+`--intervals 100` (104 unknowns) writes different bytes at 1 and 2
+threads. Each check runs the same work in two subprocesses, at 1 and at 2
+OpenBLAS threads, and compares the output byte for byte; the largest fit
+is the 96-unknown boundary itself. The thread count is fixed when
+OpenBLAS loads, so it cannot be changed in-process. At N = 450 even the
+whole-N product is not split, so the checks use N = 1000.
 """
 import os
 import subprocess
@@ -35,9 +40,13 @@ assert main(["simulate", "--scenario", "one-null", "--n-train", "1000",
              "--out-prefix", prefix]) == 0
 assert main(["fit", "--data", prefix + "_train.csv", "--lambda", "54.4",
              "--gamma", "3e-5", "--out", str(out / "model.json")]) in (0, 3)
+assert main(["fit", "--data", prefix + "_train.csv", "--lambda", "54.4",
+             "--gamma", "3e-5", "--intervals", "92",
+             "--out", str(out / "wide.json")]) in (0, 3)
 """
 
-_COMPARED = ("rows.txt", "model.json", "model_beta.csv")
+_COMPARED = ("rows.txt", "model.json", "model_beta.csv", "wide.json",
+             "wide_beta.csv")
 
 
 def _run_at(threads: int, out: Path) -> dict[str, bytes]:

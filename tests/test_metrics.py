@@ -138,6 +138,13 @@ class TestIse:
         ref = np.trapezoid(f(ts) ** 2, ts) / 0.8
         assert i0 == pytest.approx(ref, abs=1e-6)
 
+    def test_overlapping_null_intervals_count_once(self):
+        f = lambda t: np.sin(3 * np.asarray(t))
+        zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
+        overlapping = ise(f, zero, [(0.1, 0.5), (0.3, 0.7)], 1.0)
+        assert overlapping == ise(f, zero, [(0.1, 0.7)], 1.0)
+        assert overlapping[0] == pytest.approx(0.6995, abs=1e-4)
+
     def test_zero_length_component_is_none(self):
         f = lambda t: np.asarray(t, dtype=float)
         i0, i1 = ise(f, f, [], 1.0)

@@ -10,9 +10,8 @@ from sflr.basis import gram_block, make_basis
 from sflr.design import FunctionalDataset, assemble_blocks, build_design
 from sflr.model import SflrModel, beta_hat
 from sflr.solver import (PROB_CLAMP, FitResult, SolverConfig, _Objective,
-                         _likelihood_hessian, _log_likelihood, _lqa_penalty,
-                         _newton_solve, clamped_probs, fit, fit_initial,
-                         interval_norms)
+                         _likelihood_hessian, _log_likelihood, _newton_solve,
+                         clamped_probs, fit, fit_initial, interval_norms)
 
 
 def _sigmoid(eta):
@@ -134,39 +133,39 @@ class TestLqaWeightMatrix:
         design = build_design(
             FunctionalDataset(np.linspace(0, 1, 51), np.ones((1, 51))),
             basis, m=2)
-        return basis, design.W_blocks
+        return basis, design
 
     @staticmethod
-    def weights(b, W_blocks, lam):
-        """W~* without its zero intercept row and column."""
-        Wt = _lqa_penalty(W_blocks, lam, 1.0)(b)
+    def weights(b, setup, lam):
+        """W~*, as the Newton penalty at gamma = 0, without its zero
+        intercept row and column."""
+        basis, design = setup
+        objective = _Objective(design.U, [1.0], design.V, 0.0, lam, basis,
+                               design.W_blocks)
+        Wt = objective.newton_penalty(np.concatenate([[0.0], b]))
         assert np.all(Wt[0] == 0.0) and np.all(Wt[:, 0] == 0.0)
         return Wt[1:, 1:]
 
     def test_zero_lambda_gives_zero_matrix(self, setup):
-        _, W_blocks = setup
-        W = self.weights(np.ones(13), W_blocks, 0.0)
+        W = self.weights(np.ones(13), setup, 0.0)
         assert np.all(W == 0.0)
 
     def test_constant_beta_hand_algebra(self, setup):
         # beta == 1 gives every subinterval norm sqrt(T/M), so the scaled
         # matrix collapses to (lambda/2) * Gram
-        _, W_blocks = setup
         lam = 3.0
-        Wt = self.weights(np.ones(13), W_blocks, lam)
-        gram = assemble_blocks(W_blocks)
+        Wt = self.weights(np.ones(13), setup, lam)
+        gram = assemble_blocks(setup[1].W_blocks)
         np.testing.assert_allclose(Wt, 0.5 * lam * gram, rtol=1e-12)
 
     def test_zero_coefficients_floor_active(self, setup):
-        _, W_blocks = setup
-        Wt = self.weights(np.zeros(13), W_blocks, 1.0)
+        Wt = self.weights(np.zeros(13), setup, 1.0)
         assert np.all(np.isfinite(Wt))
         assert np.max(Wt) > 1e5  # large but finite
 
     def test_symmetric_psd(self, setup):
-        _, W_blocks = setup
         rng = np.random.default_rng(2)
-        Wt = self.weights(rng.standard_normal(13), W_blocks, 2.0)
+        Wt = self.weights(rng.standard_normal(13), setup, 2.0)
         assert np.allclose(Wt, Wt.T)
         assert np.linalg.eigvalsh(Wt).min() >= -1e-10
 
@@ -275,7 +274,8 @@ class TestObjective:
         # evaluate's in-place passes give the bits of the out-of-place
         # composition on the same linear predictor
         basis, design, y = _toy_problem(seed=5, n=300, M=8)
-        objective = _Objective(design.U, y, design.V, 1e-3, lam, basis)
+        objective = _Objective(design.U, y, design.V, 1e-3, lam, basis,
+                               design.W_blocks)
         theta = np.random.default_rng(5).standard_normal(
             basis.basis_count + 1) * 100.0
         theta[0] = 0.0
@@ -293,6 +293,37 @@ class TestObjective:
         np.testing.assert_array_equal(p, expected_p)
         assert type(value) is type(expected)
         assert value.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-3])
+    def test_newton_penalty_matches_dense_loop(self, gamma):
+        # P = V* + (lambda/2) sqrt(T/M) sum_j W_j / max(||beta_[j]||, 1e-8),
+        # block j at rows and columns j+1..j+d+1 of the intercept-augmented
+        # matrix; at lambda = 0 it is V*, which the Newton solve only reads
+        basis, design, y = _toy_problem(seed=9, n=100, M=8)
+        T, M = basis.domain_end, basis.interior_interval_count
+        d, L = basis.degree, basis.basis_count
+        rng = np.random.default_rng(9)
+        theta = rng.standard_normal(L + 1)
+        lam = 5.0
+        V_star = np.zeros((L + 1, L + 1))
+        V_star[1:, 1:] = gamma * design.V
+        expected = V_star.copy()
+        for j, W in enumerate(design.W_blocks):
+            window = theta[j + 1:j + d + 2]
+            norm = max(math.sqrt(window @ W @ window), 1e-8)
+            expected[j + 1:j + d + 2, j + 1:j + d + 2] += (
+                0.5 * lam * math.sqrt(T / M) * W / norm)
+        objective = _Objective(design.U, y, design.V, gamma, lam, basis,
+                               design.W_blocks)
+        P = objective.newton_penalty(theta)
+        assert np.max(np.abs(P - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+        objective = _Objective(design.U, y, design.V, gamma)
+        P = objective.newton_penalty(theta)
+        np.testing.assert_array_equal(P, V_star)
+        p = objective.evaluate(theta)[1]
+        _newton_solve(theta, p, objective.U_aug, objective.U_augT, y, P)
+        np.testing.assert_array_equal(P, V_star)
 
 
 class TestFitInitial:
