@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,28 +96,39 @@ def eval_basis_many(basis: BSplineBasis, points, derivative_order: int = 0) -> n
     return _de_boor(basis.knot_vector, basis.degree, pts, derivative_order)
 
 
+@lru_cache(maxsize=16)
+def _support_windows(M: int, k: int) -> np.ndarray:
+    """(M, k) read-only map: row j holds the k = degree + 1 functions live on
+    0-based subinterval j, so function l lives on subintervals l-k+1..l."""
+    windows = np.arange(M)[:, None] + np.arange(k)
+    windows.flags.writeable = False
+    return windows
+
+
+def _subinterval_gauss(basis: BSplineBasis, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(M, n) nodes and weights of n-node Gauss-Legendre on each subinterval."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    breaks = basis.breakpoints
+    half = 0.5 * np.diff(breaks)[:, None]
+    return breaks[:-1, None] + half * (x + 1.0), half * w
+
+
 def gram_block(basis: BSplineBasis, derivative_order: int = 0) -> np.ndarray:
     """Exact Gram blocks of the derivative-order basis, one per subinterval.
 
-    Returns an (M, d+1, d+1) stack. Only functions j..j+d are nonzero on
-    0-based subinterval j, so block j is the Gram matrix of those d+1
-    functions over it; every other entry of the L x L Gram is zero there.
-    Gauss-Legendre with degree - derivative_order + 1 nodes per subinterval
-    is exact for the degree 2(degree - derivative_order) polynomial
-    integrand; all nodes go through one basis evaluation.
+    Returns an (M, d+1, d+1) stack: block j is the Gram matrix over 0-based
+    subinterval j of row j of ``_support_windows``, the only functions
+    nonzero there. Gauss-Legendre with degree - derivative_order + 1 nodes
+    per subinterval is exact for the degree 2(degree - derivative_order)
+    polynomial integrand; all nodes go through one basis evaluation.
     """
     d, M = basis.degree, basis.interior_interval_count
     if not 0 <= derivative_order <= d - 1:
         raise ValueError(f"derivative order {derivative_order} outside "
                          f"[0, {d - 1}]")
-    x, w = np.polynomial.legendre.leggauss(d - derivative_order + 1)
-    breaks = basis.breakpoints
-    half = 0.5 * np.diff(breaks)[:, None]
-    nodes = breaks[:-1, None] + half * (x + 1.0)
+    nodes, weights = _subinterval_gauss(basis, d - derivative_order + 1)
     E = eval_basis_many(basis, nodes.ravel(), derivative_order)
-    # Gauss nodes are interior, so subinterval j's live columns are j..j+d
-    window = np.arange(M)[:, None] + np.arange(d + 1)
-    E = np.take_along_axis(E.reshape(M, x.size, -1), window[:, None, :],
-                           axis=2)
-    G = (E * (half * w)[:, :, None]).transpose(0, 2, 1) @ E
+    E = np.take_along_axis(E.reshape(*nodes.shape, -1),
+                           _support_windows(M, d + 1)[:, None, :], axis=2)
+    G = (E * weights[:, :, None]).transpose(0, 2, 1) @ E
     return 0.5 * (G + G.transpose(0, 2, 1))

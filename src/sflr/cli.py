@@ -174,6 +174,10 @@ def _labeled_basis(args):
                         f"got {data.n_samples}")
     M = (interval_count_rule(data.n_points) if args.intervals == "auto"
          else args.intervals)
+    unknowns = M + args.degree + 1  # the Newton system's size; see sflr.solver
+    if unknowns > 96:
+        print(f"note: {unknowns} unknowns exceed 96; results may differ in "
+              "their last bits between OpenBLAS thread counts", file=sys.stderr)
     return data, M, make_basis(float(data.grid[-1]), args.degree, M)
 
 

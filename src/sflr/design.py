@@ -6,7 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BSplineBasis, eval_basis_many, gram_block
+from .basis import (BSplineBasis, _support_windows, eval_basis_many,
+                    gram_block)
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,8 @@ def _scatter_index(M: int, k: int, pad: int) -> np.ndarray:
     """Flat n x n positions, n = M + k - 1 + pad, of an (M, k, k) block
     stack placed after ``pad`` leading rows and columns, read-only."""
     n = M + k - 1 + pad
-    offsets = pad + np.arange(M)[:, None, None]
-    index = ((offsets + np.arange(k)[:, None]) * n + offsets
-             + np.arange(k)).ravel()
+    rows = pad + _support_windows(M, k)
+    index = (rows[:, :, None] * n + rows[:, None, :]).ravel()
     index.flags.writeable = False
     return index
 

@@ -45,18 +45,11 @@ def classify(probabilities, threshold: float = 0.5) -> np.ndarray:
 def null_regions(model: SflrModel) -> list[tuple[float, float]]:
     """Maximal runs of null-flagged subintervals as [start, end] pairs."""
     breaks = model.basis.breakpoints
-    mask = model.fit.null_mask
-    regions: list[tuple[float, float]] = []
-    start = None
-    for j, is_null in enumerate(mask):
-        if is_null and start is None:
-            start = breaks[j]
-        elif not is_null and start is not None:
-            regions.append((float(start), float(breaks[j])))
-            start = None
-    if start is not None:
-        regions.append((float(start), float(breaks[-1])))
-    return regions
+    # run j..k-1 starts at edge j and ends at edge k of the padded mask
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], model.fit.null_mask,
+                                                   [False]])))
+    return [(float(breaks[j]), float(breaks[k]))
+            for j, k in zip(edges[::2], edges[1::2])]
 
 
 def to_json(model: SflrModel) -> str:

@@ -224,10 +224,10 @@ def calibrate_alpha(X: FunctionalDataset, beta) -> float:
     lo, hi = -50.0, 50.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mean_p(mid) < 0.5:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if mean_p(mid) < 0.5 else (lo, mid)
+        if bracket == (lo, hi):  # a fixpoint: every later step repeats it
+            break
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 

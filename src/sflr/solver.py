@@ -14,11 +14,14 @@ iteration descends is therefore
     -loglik + (gamma/2) * b'Vb + (lambda/2) * integral |beta|,
 
 which is what step-halving monitors (``objective_trace``) and what
-``final_objective`` reports at the thresholded coefficients. One
-``_Objective`` owns each fit's penalized problem: the [1, U] design, V*
-and W~* padded with a zero intercept row and column, the value, and each
-Newton step's P = V* + W~*. The initial lambda = 0 fit descends the same
-function with its L1 term off, and its P is V*.
+``final_objective`` reports at the thresholded coefficients. The integral
+is 20-node Gauss-Legendre per subinterval, exact only where beta keeps one
+sign there; ROADMAP's one-objective item replaces it by the subinterval
+penalty sqrt(T/M) sum_j ||beta_[j]||. One ``_Objective`` owns each fit's
+penalized problem: the [1, U] design, V* and W~* padded with a zero
+intercept row and column, the value, and each Newton step's P = V* + W~*.
+The initial lambda = 0 fit descends the same function with its L1 term
+off, and its P is V*.
 
 Each iterate is evaluated once: the linear predictor, sigmoid and clamp
 that give its objective value also give the probabilities of its Newton
@@ -45,7 +48,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BSplineBasis, eval_basis_many, make_basis
+from .basis import (BSplineBasis, _subinterval_gauss, _support_windows,
+                    eval_basis_many, make_basis)
 from .design import DesignMatrices, assemble_blocks
 
 # fitted probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP]
@@ -125,20 +129,12 @@ def _log_likelihood(p: np.ndarray, y: np.ndarray) -> float:
     return float(terms.sum())
 
 
-@lru_cache(maxsize=16)
-def _window_index(M: int, k: int) -> np.ndarray:
-    """(M, k) indices of the coefficient windows j..j+k-1, read-only."""
-    index = np.arange(M)[:, None] + np.arange(k)
-    index.flags.writeable = False
-    return index
-
-
 def interval_norms(b: np.ndarray, W_blocks: np.ndarray) -> np.ndarray:
     """L2 norm of the coefficient function restricted to each subinterval.
 
-    Block j of the (M, d+1, d+1) stack acts on coefficients j..j+d.
+    Block j of the (M, d+1, d+1) stack acts on row j of ``_support_windows``.
     """
-    window = b[_window_index(*W_blocks.shape[:2])]
+    window = b[_support_windows(*W_blocks.shape[:2])]
     return np.sqrt(np.maximum(
         np.einsum("ja,jab,jb->j", window, W_blocks, window), 0.0))
 
@@ -217,12 +213,9 @@ def _l1_quadrature(T: float, degree: int, M: int) -> tuple[np.ndarray,
     """Weights and basis rows of the 20-node Gauss-Legendre rule on each
     subinterval of ``make_basis(T, degree, M)``, read-only."""
     basis = make_basis(T, degree, M)
-    breaks = basis.breakpoints
-    x, w = np.polynomial.legendre.leggauss(_L1_NODES)
-    half = 0.5 * np.diff(breaks)
-    nodes = (breaks[:-1, None] + half[:, None] * (x + 1.0)).ravel()
-    weights = (half[:, None] * w).ravel()
-    E = eval_basis_many(basis, nodes)
+    nodes, weights = _subinterval_gauss(basis, _L1_NODES)
+    weights = weights.ravel()
+    E = eval_basis_many(basis, nodes.ravel())
     weights.flags.writeable = E.flags.writeable = False
     return weights, E
 
@@ -233,8 +226,7 @@ class _Objective:
 
     ``U_aug`` is [1, U] and ``U_augT`` its C-contiguous transpose, from
     which the likelihood Hessian is built. At lambda > 0, ``basis`` and
-    ``W_blocks`` give the L1 integral, by 20-node Gauss-Legendre per
-    subinterval, and W~*; at lambda = 0 both are left out.
+    ``W_blocks`` give the L1 integral and W~*; at lambda = 0 both are left out.
     """
 
     def __init__(self, U, y, V, gamma, lam=0.0,
@@ -378,13 +370,11 @@ def fit(U: np.ndarray, y: np.ndarray, basis: BSplineBasis,
     # norm and zero every coefficient touching one (iterated to a fixpoint
     # so the mask and the coefficients stay consistent)
     b[np.abs(b) < _COEF_THRESHOLD] = 0.0
-    h = T / M
+    h, windows = T / M, _support_windows(M, basis.degree + 1)
     while True:
         norms = interval_norms(b, W_blocks)
         null_mask = norms / np.sqrt(h) < _COEF_THRESHOLD
-        # coefficient l lives on subintervals l-d..l
-        touched = (b != 0.0) & (np.convolve(null_mask,
-                                            np.ones(basis.degree + 1)) > 0)
+        touched = (b != 0.0) & np.isin(np.arange(b.size), windows[null_mask])
         if not touched.any():
             break
         b[touched] = 0.0

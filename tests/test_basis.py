@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from sflr.basis import eval_basis_many, gram_block, make_basis
+from sflr.basis import (_subinterval_gauss, _support_windows, eval_basis_many,
+                        gram_block, make_basis)
 from sflr.design import assemble_blocks
 
 
@@ -147,6 +148,36 @@ def test_gram_block_is_the_window_of_the_interval_gram(degree, M):
                                        rtol=0, atol=1e-12 * np.abs(dense).max())
             dense[win, win] = 0.0
             assert not dense.any()
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5])
+@pytest.mark.parametrize("M", [1, 2, 30])
+def test_support_windows_list_the_live_functions(degree, M):
+    # row j names exactly the functions nonzero inside subinterval j
+    basis = make_basis(1.0, degree, M)
+    windows = _support_windows(M, degree + 1)
+    assert windows.shape == (M, degree + 1)
+    assert not windows.flags.writeable
+    breaks = basis.breakpoints
+    pts = breaks[:-1, None] + np.diff(breaks)[:, None] * [0.1, 0.5, 0.9]
+    E = eval_basis_many(basis, pts.ravel()).reshape(M, 3, -1)
+    for j in range(M):
+        np.testing.assert_array_equal(np.flatnonzero(E[j].any(axis=0)),
+                                      windows[j])
+
+
+@pytest.mark.parametrize("n", [1, 4, 20])
+def test_subinterval_gauss_is_exact_on_each_subinterval(n):
+    basis = make_basis(2.0, 3, 7)
+    nodes, weights = _subinterval_gauss(basis, n)
+    assert nodes.shape == weights.shape == (7, n)
+    a, b = basis.breakpoints[:-1, None], basis.breakpoints[1:, None]
+    assert ((a < nodes) & (nodes < b)).all()
+    # n nodes integrate t^(2n-1) exactly
+    k = 2 * n - 1
+    exact = (b ** (k + 1) - a ** (k + 1))[:, 0] / (k + 1)
+    np.testing.assert_allclose((weights * nodes ** k).sum(axis=1), exact,
+                               rtol=1e-12)
 
 
 def test_gram_block_sparsity_pattern():

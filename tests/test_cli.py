@@ -243,6 +243,25 @@ def test_tune_writes_best_pair(sim_files, tmp_path):
     assert len(body) == 5
 
 
+_THREAD_NOTE = ("note: 104 unknowns exceed 96; results may differ in their "
+                "last bits between OpenBLAS thread counts\n")
+
+
+@pytest.mark.parametrize("command, weights", [
+    ("fit", ["--lambda", "8.0", "--gamma", "1e-3"]),
+    ("tune", ["--lambda-grid", "8.0", "--gamma-grid", "1e-3"])])
+@pytest.mark.parametrize("intervals, err", [("100", _THREAD_NOTE), ("92", "")])
+def test_note_past_96_unknowns(sim_files, tmp_path, capsys, command, weights,
+                               intervals, err):
+    # a cubic basis on 92 intervals plus the intercept is 96 unknowns, the
+    # largest Newton system whose bits do not depend on the thread count
+    _, prefix = sim_files
+    code = _run([command, "--data", prefix + "_train.csv", *weights,
+                 "--intervals", intervals, "--out", str(tmp_path / "out")])
+    assert code in (0, 3)
+    assert capsys.readouterr().err == err
+
+
 def test_tune_score_file_bytes(sim_files, tmp_path, monkeypatch):
     # the table rows as tune returns them, one of them a failed pair
     table = [{"lambda": 4.0, "gamma": 0.001, "criterion": "bic",

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sflr import simulate, solver
 from sflr.basis import eval_basis_many, make_basis
 from sflr.design import FunctionalDataset, compute_U
 from sflr.simulate import (NULL_REGIONS, ScenarioSpec, _linear_predictor,
@@ -230,6 +231,44 @@ def test_calibrate_alpha_balances_spectra():
     alpha = calibrate_alpha(X, beta_spectra)
     _, p = generate_responses(X, beta_spectra, alpha, 0)
     assert abs(p.mean() - 0.5) < 0.05
+
+
+def _calibrate_alpha_200_steps(X, beta):
+    """The bisection of ``calibrate_alpha`` run for all of its 200 steps."""
+    eta0 = _linear_predictor(X, beta, 0.0)
+    lo, hi = -50.0, 50.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(np.mean(solver._sigmoid(mid + eta0))) < 0.5:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_calibrate_alpha_stops_at_the_bisection_fixpoint(monkeypatch):
+    # once a step leaves the bracket unchanged every later step repeats
+    # it, so stopping there gives the 200-step intercept's bits
+    passes = []
+
+    def counted_sigmoid(eta):
+        passes.append(1)
+        return solver._sigmoid(eta)
+
+    cases = [(generate_predictors(ScenarioSpec("spectra", n_train=n,
+                                               seed=seed)), beta_spectra)
+             for n in (100, 1000) for seed in (1, 2, 3)]
+    # beta = 0 balances at alpha = 0, where floats are densest; beta = 200
+    # on constant curves balances at -200, outside the [-50, 50] bracket
+    cases.append((cases[0][0], lambda t: np.zeros_like(t)))
+    ones = FunctionalDataset(np.linspace(0.0, 1.0, 11), np.ones((3, 11)))
+    cases.append((ones, lambda t: np.full_like(t, 200.0)))
+    monkeypatch.setattr(simulate, "_sigmoid", counted_sigmoid)
+    for X, beta in cases:
+        passes.clear()
+        assert (calibrate_alpha(X, beta).hex()
+                == _calibrate_alpha_200_steps(X, beta).hex())
+        assert len(passes) < 200
 
 
 def test_interval_count_rule():

@@ -58,13 +58,13 @@ def irls_logistic(X, y, tol=1e-12, max_iter=200):
     return beta
 
 
-def _toy_problem(seed=0, n=200, M=2, degree=3):
+def _toy_problem(seed=0, n=200, M=2, degree=3, m=2):
     rng = np.random.default_rng(seed)
     basis = make_basis(1.0, degree, M)
     ts = np.linspace(0, 1, 101)
     X = rng.standard_normal((n, ts.size))
     data = FunctionalDataset(ts, X)
-    design = build_design(data, basis, m=2)
+    design = build_design(data, basis, m=m)
     eta = design.U @ rng.standard_normal(basis.basis_count)
     y = (rng.random(n) < _sigmoid(2.0 * eta)).astype(float)
     return basis, design, y
@@ -422,14 +422,27 @@ class TestFit:
         assert res.final_objective == pytest.approx(ref, rel=1e-6)
 
     def test_null_mask_consistency(self):
-        # flagged subintervals carry exactly-zero coefficients throughout
-        basis, design, y = _toy_problem(seed=3, n=200, M=10)
-        cfg = SolverConfig(lam=50.0, gamma=1e-4)
-        res = fit(design.U, y, basis, design, cfg)
-        for j in np.flatnonzero(res.null_mask):
+        # flagged subintervals carry exactly-zero coefficients throughout,
+        # and the mask is a fixpoint of the null rule on the returned b
+        for degree, m, M, lam in ((2, 1, 10, 10.0), (2, 1, 17, 10.0),
+                                  (3, 2, 6, 8.0), (3, 2, 10, 4.0),
+                                  (3, 2, 17, 10.0), (5, 2, 4, 10.0),
+                                  (5, 2, 17, 5.0)):
+            basis, design, y = _toy_problem(seed=3, n=200, M=M,
+                                            degree=degree, m=m)
+            res = fit(design.U, y, basis, design,
+                      SolverConfig(lam=lam, gamma=1e-4, m=m))
+            assert 0 < res.null_mask.sum() < M  # some flagged, some not
             for l in range(basis.basis_count):
-                if l - basis.degree <= j <= l:
+                # coefficient l's support is subintervals l-degree..l
+                if res.null_mask[max(l - degree, 0):l + 1].any():
                     assert res.b[l] == 0.0
+            norms = [math.sqrt(max(res.b[j:j + degree + 1] @ W
+                                   @ res.b[j:j + degree + 1], 0.0))
+                     for j, W in enumerate(design.W_blocks)]
+            # scaled subinterval norms below 1e-4 are null
+            np.testing.assert_array_equal(
+                np.array(norms) / math.sqrt(1.0 / M) < 1e-4, res.null_mask)
 
     def test_interval_norms_match_definition(self):
         rng = np.random.default_rng(0)
