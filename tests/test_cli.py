@@ -184,7 +184,9 @@ def test_fit_artifacts(fitted):
     assert doc["M"] == 30  # auto rule on the 101-point grid
     curve = fitted.parent / "model_beta.csv"
     lines = curve.read_text().splitlines()
-    assert lines[0].startswith("#")
+    # the settings line that predict also writes
+    assert lines[0] == ("# lambda=8.0 gamma=0.0001 degree=3 m=2 "
+                        "intervals=30"), lines[0]
     assert lines[1] == "t,beta_hat,is_null"
     assert len(lines) == 2 + 1001
 
