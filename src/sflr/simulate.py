@@ -3,6 +3,7 @@ predictors, spectra-like curves, Bernoulli responses, and the replication
 harness with median summaries."""
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -11,12 +12,33 @@ import numpy as np
 
 from .basis import eval_basis_many, make_basis
 from .design import FunctionalDataset, build_design, trapezoid_weights
-from .metrics import classification_metrics, ise, pmse
+from .metrics import classification_metrics, complement_intervals, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
 from .solver import SolverConfig, _sigmoid, fit
 from .tuning import TuningGrid, tune
 
-SCENARIOS = ("one_null", "three_null", "spectra")
+# Each bundled scenario's beta: closed support pieces of [0, 1], each with its
+# formula. beta is zero off them: the designed null regions are the rest.
+_BETA_PIECES = {
+    "one_null": (
+        ((0.0, 0.3),
+         lambda t: 15.0 * (1.0 - t) * np.sin(2.0 * np.pi * (t + 0.2))),
+        ((0.7, 1.0), lambda t: 15.0 * t * np.sin(2.0 * np.pi * (t - 0.2))),
+    ),
+    "three_null": (
+        ((0.05, 0.3),
+         lambda t: 180.0 * (t - 0.5) * np.sin(4.0 * np.pi * (t + 0.7))),
+        ((0.7, 0.95), lambda t: 45.0 * t * np.sin(4.0 * np.pi * (t + 0.3))),
+    ),
+    "spectra": (
+        ((0.15, 0.35), lambda t: 8.0 * np.sin(np.pi * (t - 0.15) / 0.2)),
+        ((0.55, 0.8), lambda t: -6.0 * np.sin(np.pi * (t - 0.55) / 0.25)),
+    ),
+}
+
+SCENARIOS = tuple(_BETA_PIECES)
+NULL_REGIONS = {scenario: complement_intervals([p for p, _ in pieces], 1.0)
+                for scenario, pieces in _BETA_PIECES.items()}
 
 
 @dataclass(frozen=True)
@@ -41,63 +63,38 @@ class ScenarioSpec:
         return np.linspace(0.0, 1.0, self.grid_size)
 
 
-def _check_unit_domain(t: np.ndarray):
+def _beta(scenario: str, t):
+    """A bundled scenario's coefficient function at t in [0, 1]: each
+    support piece's formula on that closed piece, zero elsewhere."""
+    scalar = np.isscalar(t)
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if t.size and (t.min() < 0.0 or t.max() > 1.0):
         raise ValueError("t outside [0, 1]")
+    out = np.zeros_like(t)
+    for (a, b), formula in _BETA_PIECES[scenario]:
+        on = (t >= a) & (t <= b)
+        out[on] = formula(t[on])
+    return float(out[0]) if scalar else out
 
 
 def beta_one_null(t):
-    """Coefficient function with a single null region on (0.3, 0.7)."""
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    _check_unit_domain(t)
-    out = np.zeros_like(t)
-    left = t <= 0.3
-    right = t >= 0.7
-    out[left] = 15.0 * (1.0 - t[left]) * np.sin(2.0 * np.pi * (t[left] + 0.2))
-    out[right] = 15.0 * t[right] * np.sin(2.0 * np.pi * (t[right] - 0.2))
-    return float(out[0]) if scalar else out
+    """Coefficient function with a single null region."""
+    return _beta("one_null", t)
 
 
 def beta_three_null(t):
-    """Coefficient function vanishing on [0,0.05), (0.3,0.7), and (0.95,1]."""
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    _check_unit_domain(t)
-    out = np.zeros_like(t)
-    mid1 = (t >= 0.05) & (t <= 0.3)
-    mid2 = (t >= 0.7) & (t <= 0.95)
-    out[mid1] = 180.0 * (t[mid1] - 0.5) * np.sin(4.0 * np.pi * (t[mid1] + 0.7))
-    out[mid2] = 45.0 * t[mid2] * np.sin(4.0 * np.pi * (t[mid2] + 0.3))
-    return float(out[0]) if scalar else out
+    """Coefficient function with an interior and two boundary null regions."""
+    return _beta("three_null", t)
 
 
 def beta_spectra(t):
     """Smooth two-bump coefficient function for the spectra-like scenario."""
-    scalar = np.isscalar(t)
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    _check_unit_domain(t)
-    out = np.zeros_like(t)
-    lo = (t >= 0.15) & (t <= 0.35)
-    hi = (t >= 0.55) & (t <= 0.8)
-    out[lo] = 8.0 * np.sin(np.pi * (t[lo] - 0.15) / 0.2)
-    out[hi] = -6.0 * np.sin(np.pi * (t[hi] - 0.55) / 0.25)
-    return float(out[0]) if scalar else out
-
-
-NULL_REGIONS = {
-    "one_null": [(0.3, 0.7)],
-    "three_null": [(0.0, 0.05), (0.3, 0.7), (0.95, 1.0)],
-    "spectra": [(0.0, 0.15), (0.35, 0.55), (0.8, 1.0)],
-}
-
-_BETA = {"one_null": beta_one_null, "three_null": beta_three_null,
-         "spectra": beta_spectra}
+    return _beta("spectra", t)
 
 
 def true_beta(scenario: str):
     """(coefficient function, designed null intervals) for a scenario."""
-    return _BETA[scenario], NULL_REGIONS[scenario]
+    return functools.partial(_beta, scenario), NULL_REGIONS[scenario]
 
 
 # two synthetic spectra-like means: sums of 6 Gaussian peaks each. They
@@ -119,9 +116,10 @@ def spectra_means(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _gaussian_mix(grid, _PEAKS_A), _gaussian_mix(grid, _PEAKS_B)
 
 
-# predictor generator basis: 74 degree-4 (order-5) functions, 70 intervals
-_GENERATOR_DEGREE = 4
-_GENERATOR_INTERVALS = 70
+def _generator_design(grid: np.ndarray) -> np.ndarray:
+    """The one_null and three_null predictor generator basis on the grid:
+    74 degree-4 (order-5) functions on 70 intervals, one column each."""
+    return eval_basis_many(make_basis(1.0, 4, 70), grid)
 
 
 def _spectra_class_means(n: int, grid: np.ndarray) -> np.ndarray:
@@ -155,8 +153,7 @@ def posterior_mean_curves(scenario: str, noisy: np.ndarray, grid: np.ndarray,
     if not noise_sd > 0:
         raise ValueError("noise_sd must be positive")
     if scenario in ("one_null", "three_null"):
-        E = eval_basis_many(
-            make_basis(1.0, _GENERATOR_DEGREE, _GENERATOR_INTERVALS), grid)
+        E = _generator_design(grid)
         cov = E @ E.T
         mean = np.zeros_like(noisy)
     else:
@@ -186,9 +183,8 @@ def generate_predictors(spec: ScenarioSpec, n_samples: int | None = None,
         values = (_spectra_class_means(n, grid)
                   + rng.standard_normal((n, grid.size)))
     else:
-        gen_basis = make_basis(1.0, _GENERATOR_DEGREE, _GENERATOR_INTERVALS)
-        E = eval_basis_many(gen_basis, grid)
-        values = rng.standard_normal((n, gen_basis.basis_count)) @ E.T
+        E = _generator_design(grid)
+        values = rng.standard_normal((n, E.shape[1])) @ E.T
     return FunctionalDataset(grid=grid, values=values)
 
 

@@ -21,6 +21,63 @@ from sflr.solver import SolverConfig
 from sflr.tuning import TuningGrid
 
 
+def _reference_beta(scenario, t):
+    """The bundled coefficient functions as first written, one formula per
+    mask, on an array of t in [0, 1]."""
+    out = np.zeros_like(t)
+    if scenario == "one_null":
+        left, right = t <= 0.3, t >= 0.7
+        out[left] = (15.0 * (1.0 - t[left])
+                     * np.sin(2.0 * np.pi * (t[left] + 0.2)))
+        out[right] = 15.0 * t[right] * np.sin(2.0 * np.pi * (t[right] - 0.2))
+    elif scenario == "three_null":
+        mid1 = (t >= 0.05) & (t <= 0.3)
+        mid2 = (t >= 0.7) & (t <= 0.95)
+        out[mid1] = (180.0 * (t[mid1] - 0.5)
+                     * np.sin(4.0 * np.pi * (t[mid1] + 0.7)))
+        out[mid2] = 45.0 * t[mid2] * np.sin(4.0 * np.pi * (t[mid2] + 0.3))
+    else:
+        lo = (t >= 0.15) & (t <= 0.35)
+        hi = (t >= 0.55) & (t <= 0.8)
+        out[lo] = 8.0 * np.sin(np.pi * (t[lo] - 0.15) / 0.2)
+        out[hi] = -6.0 * np.sin(np.pi * (t[hi] - 0.55) / 0.25)
+    return out
+
+
+_NAMED_BETA = {"one_null": beta_one_null, "three_null": beta_three_null,
+               "spectra": beta_spectra}
+
+
+class TestScenarioTable:
+    @pytest.mark.parametrize("scenario", ["one_null", "three_null", "spectra"])
+    def test_beta_matches_reference_bit_for_bit(self, scenario):
+        ends = [x for piece, _ in simulate._BETA_PIECES[scenario]
+                for x in piece]
+        ts = np.concatenate([np.linspace(0.0, 1.0, 100_001), ends])
+        ref = _reference_beta(scenario, ts)
+        for beta in (_NAMED_BETA[scenario], true_beta(scenario)[0]):
+            np.testing.assert_array_equal(beta(ts), ref)
+            for t, r in zip(ends, _reference_beta(scenario, np.array(ends))):
+                got = beta(t)
+                assert isinstance(got, float) and got == r, (t, got, r)
+
+    def test_null_regions_are_the_designed_intervals(self):
+        assert NULL_REGIONS == {
+            "one_null": [(0.3, 0.7)],
+            "three_null": [(0.0, 0.05), (0.3, 0.7), (0.95, 1.0)],
+            "spectra": [(0.0, 0.15), (0.35, 0.55), (0.8, 1.0)],
+        }
+        assert simulate.SCENARIOS == ("one_null", "three_null", "spectra")
+
+    @pytest.mark.parametrize("scenario", ["one_null", "three_null", "spectra"])
+    def test_beta_is_nonzero_mid_support_piece(self, scenario):
+        beta, nulls = true_beta(scenario)
+        for (a, b), _ in simulate._BETA_PIECES[scenario]:
+            mid = 0.5 * (a + b)
+            assert beta(mid) != 0.0, (scenario, mid)
+            assert not any(c <= mid <= d for c, d in nulls)
+
+
 class TestBetaFunctions:
     def test_one_null_frozen_values(self):
         assert beta_one_null(0.5) == 0.0
