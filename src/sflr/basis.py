@@ -19,7 +19,8 @@ class BSplineBasis:
     domain_end: float
     degree: int
     interior_interval_count: int
-    knot_vector: np.ndarray = field(repr=False)
+    # follows from the other three fields, so it takes no part in ==/hash
+    knot_vector: np.ndarray = field(repr=False, compare=False)
 
     @property
     def basis_count(self) -> int:

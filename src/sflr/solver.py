@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (BSplineBasis, _subinterval_gauss, _support_windows,
-                    eval_basis_many, make_basis)
+                    eval_basis_many)
 from .design import DesignMatrices, assemble_blocks
 
 # fitted probabilities are clamped to [PROB_CLAMP, 1 - PROB_CLAMP]
@@ -208,11 +208,9 @@ def _relative_step(new: np.ndarray, old: np.ndarray) -> float:
 
 
 @lru_cache(maxsize=4)
-def _l1_quadrature(T: float, degree: int, M: int) -> tuple[np.ndarray,
-                                                           np.ndarray]:
+def _l1_quadrature(basis: BSplineBasis) -> tuple[np.ndarray, np.ndarray]:
     """Weights and basis rows of the 20-node Gauss-Legendre rule on each
-    subinterval of ``make_basis(T, degree, M)``, read-only."""
-    basis = make_basis(T, degree, M)
+    subinterval of ``basis``, read-only."""
     nodes, weights = _subinterval_gauss(basis, _L1_NODES)
     weights = weights.ravel()
     E = eval_basis_many(basis, nodes.ravel())
@@ -241,7 +239,7 @@ class _Objective:
         self._half_lam = 0.5 * lam
         if lam > 0.0:
             T, M = basis.domain_end, basis.interior_interval_count
-            self._l1_w, self._l1_E = _l1_quadrature(T, basis.degree, M)
+            self._l1_w, self._l1_E = _l1_quadrature(basis)
             self._W_blocks = W_blocks
             self._lqa_scale = self._half_lam * np.sqrt(T / M)
 

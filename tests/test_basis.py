@@ -30,6 +30,17 @@ def test_clamped_end_multiplicity(cubic):
     assert np.all(np.diff(k) >= 0)
 
 
+def test_equal_bases_compare_and_hash_equal():
+    a, b = make_basis(1.0, 3, 30), make_basis(1.0, 3, 30)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("other", [(2.0, 3, 30), (1.0, 2, 30), (1.0, 3, 31)])
+def test_bases_differing_in_a_field_are_unequal(other):
+    assert make_basis(1.0, 3, 30) != make_basis(*other)
+
+
 @pytest.mark.parametrize("bad", [
     dict(domain_end=0.0, degree=3, interval_count=10),
     dict(domain_end=-1.0, degree=3, interval_count=10),
