@@ -165,7 +165,7 @@ def _check_flag_combinations(parser: _Parser, args) -> None:
 
 
 def _labeled_basis(args):
-    """The labeled --data set, its interval count and its basis."""
+    """The labeled --data set and its basis."""
     data = read_dataset(args.data)
     if data.labels is None:
         raise DataError(f"{args.command} requires labeled data")
@@ -178,11 +178,18 @@ def _labeled_basis(args):
     if unknowns > 96:
         print(f"note: {unknowns} unknowns exceed 96; results may differ in "
               "their last bits between OpenBLAS thread counts", file=sys.stderr)
-    return data, M, make_basis(float(data.grid[-1]), args.degree, M)
+    return data, make_basis(float(data.grid[-1]), args.degree, M)
+
+
+def _settings(model: SflrModel) -> str:
+    """The settings line that fit and predict write above their tables."""
+    return (f"lambda={model.fit.lam} gamma={model.fit.gamma} "
+            f"degree={model.basis.degree} m={model.m} "
+            f"intervals={model.basis.interior_interval_count}")
 
 
 def _cmd_fit(args) -> int:
-    data, M, basis = _labeled_basis(args)
+    data, basis = _labeled_basis(args)
     design = build_design(data, basis, args.m)
     # the descent reads only U: drop the curves before it runs
     grid, labels = data.grid, data.labels.astype(float)
@@ -203,8 +210,7 @@ def _cmd_fit(args) -> int:
     write_csv(curve_path, ["t", "beta_hat", "is_null"],
               ((t, v, int(any(a <= t <= b for a, b in regions)))
                for t, v in zip(ts.tolist(), beta_hat(model, ts).tolist())),
-              f"lambda={args.lam} gamma={args.gamma} degree={args.degree} "
-              f"m={args.m} intervals={M}")
+              _settings(model))
     print(f"model written to {args.out}; curve to {curve_path}; "
           f"converged={result.converged} iterations={result.iterations}")
     return EXIT_OK if result.converged else EXIT_NOCONV
@@ -223,16 +229,13 @@ def _cmd_predict(args) -> int:
     data = read_dataset(args.data)
     probs = _predict(model, data)
     write_csv(args.out, ["probability", "class"],
-              zip(probs.tolist(), classify(probs).tolist()),
-              f"lambda={model.fit.lam} gamma={model.fit.gamma} "
-              f"degree={model.basis.degree} m={model.m} "
-              f"intervals={model.basis.interior_interval_count}")
+              zip(probs.tolist(), classify(probs).tolist()), _settings(model))
     print(f"predictions written to {args.out}")
     return EXIT_OK
 
 
 def _cmd_tune(args) -> int:
-    data, M, basis = _labeled_basis(args)
+    data, basis = _labeled_basis(args)
     grid = TuningGrid(lambdas=tuple(args.lambda_grid),
                       gammas=tuple(args.gamma_grid),
                       criterion=args.criterion, folds=args.folds,
@@ -247,7 +250,7 @@ def _cmd_tune(args) -> int:
     write_csv(args.out, columns,
               ([row[c] for c in columns] for row in result.table),
               f"criterion={args.criterion} seed={args.seed} "
-              f"folds={args.folds} intervals={M}\n"
+              f"folds={args.folds} intervals={basis.interior_interval_count}\n"
               f"best_lambda={result.best_lambda!r} "
               f"best_gamma={result.best_gamma!r}")
     print(f"best lambda={result.best_lambda!r} gamma={result.best_gamma!r}; "
