@@ -44,10 +44,6 @@ def _reference_beta(scenario, t):
     return out
 
 
-_NAMED_BETA = {"one_null": beta_one_null, "three_null": beta_three_null,
-               "spectra": beta_spectra}
-
-
 class TestScenarioTable:
     @pytest.mark.parametrize("scenario", ["one_null", "three_null", "spectra"])
     def test_beta_matches_reference_bit_for_bit(self, scenario):
@@ -55,7 +51,8 @@ class TestScenarioTable:
                 for x in piece]
         ts = np.concatenate([np.linspace(0.0, 1.0, 100_001), ends])
         ref = _reference_beta(scenario, ts)
-        for beta in (_NAMED_BETA[scenario], true_beta(scenario)[0]):
+        named = getattr(simulate, "beta_" + scenario)
+        for beta in (named, true_beta(scenario)[0]):
             np.testing.assert_array_equal(beta(ts), ref)
             for t, r in zip(ends, _reference_beta(scenario, np.array(ends))):
                 got = beta(t)
