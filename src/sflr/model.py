@@ -130,10 +130,13 @@ def from_json(text: str) -> SflrModel:
                     null_mask=np.array(null_mask, dtype=bool),
                     converged=True, lam=_model_float(doc, "lambda"),
                     gamma=_model_float(doc, "gamma"))
+    m = _model_count(doc, "m")
+    if m > degree - 1:
+        raise DataError(f"model file 'm' must be a derivative order in "
+                        f"[1, degree - 1] = [1, {degree - 1}], got {m}")
     basis = make_basis(float(domain[1]), degree, M)
     grid = np.array(domain, dtype=np.float64)
-    return SflrModel(basis=basis, fit=fit, training_grid=grid,
-                     m=_model_count(doc, "m"))
+    return SflrModel(basis=basis, fit=fit, training_grid=grid, m=m)
 
 
 def load(path) -> SflrModel:

@@ -15,14 +15,14 @@ from sflr.model import (SflrModel, beta_hat, classify, null_regions,
 from sflr.solver import FitResult, SolverConfig, clamped_probs, fit
 
 
-def _make_model(b, alpha=0.0, null_mask=None, M=30, degree=3):
+def _make_model(b, alpha=0.0, null_mask=None, M=30, degree=3, m=2):
     basis = make_basis(1.0, degree, M)
     mask = (np.zeros(M, dtype=bool) if null_mask is None
             else np.asarray(null_mask, dtype=bool))
     res = FitResult(b=np.asarray(b, dtype=float), alpha=alpha, null_mask=mask,
                     converged=True, lam=1.0, gamma=0.5)
     return SflrModel(basis=basis, fit=res,
-                     training_grid=np.linspace(0, 1, 101), m=2)
+                     training_grid=np.linspace(0, 1, 101), m=m)
 
 
 class TestBetaHat:
@@ -173,7 +173,8 @@ def _model_documents(draw):
     degree = draw(st.integers(1, 4))
     doc = json.loads(model_mod.to_json(_make_model(
         rng.standard_normal(M + degree), alpha=float(rng.standard_normal()),
-        null_mask=rng.random(M) < 0.5, M=M, degree=degree)))
+        null_mask=rng.random(M) < 0.5, M=M, degree=degree,
+        m=draw(st.integers(1, max(1, degree - 1))))))
     # the basis always starts at 0, so only a zero start can load
     doc["domain"][0] = draw(st.floats(0.0, 0.9))
     for key in draw(st.lists(st.sampled_from(sorted(doc)), unique=True)):
@@ -203,6 +204,18 @@ class TestFromJsonValidation:
         M = model.basis.interior_interval_count
         assert model.fit.b.shape == (M + model.basis.degree,)
         assert model.fit.null_mask.shape == (M,)
+        assert 1 <= model.m <= model.basis.degree - 1
         assert np.all(np.isfinite(model.fit.b))
         assert all(np.isfinite([model.fit.alpha, model.fit.lam,
                                 model.fit.gamma]))
+
+    @pytest.mark.parametrize("m", [3, 9])
+    def test_derivative_order_above_degree_minus_one_is_data_error(self, m):
+        # a cubic basis takes roughness orders 1 and 2 only
+        doc = json.loads(model_mod.to_json(_make_model(np.zeros(33))))
+        doc["m"] = m
+        with pytest.raises(DataError, match=r"^model file 'm' must be .* "
+                           rf"\[1, 2\], got {m}$"):
+            model_mod.from_json(json.dumps(doc))
+        doc["m"] = 1
+        assert model_mod.from_json(json.dumps(doc)).m == 1
