@@ -30,11 +30,17 @@ spelling of those formulas; each works in place on buffers it allocates
 and leaves its inputs alone. The likelihood Hessian U'DU is built from the
 transposed design [1, U]' (C-contiguous, made once per objective): the
 weights sqrt(p(1-p)) scale its contiguous rows, and the products of
-fixed 256-column blocks are summed in a fixed order. The descent and
-``fit``'s ``df`` both use that one Hessian. The linear predictor and the
-gradient stay on the untransposed [1, U]: BLAS sums a matrix-vector
-product in another order when the layout flips, so their bits would
-change. Results are identical bytes at 1 and 2 OpenBLAS threads (checked
+fixed 256-column blocks are summed in a fixed order. The descent keeps
+the U'DU it last built and reuses it while the weights w = p(1-p) stay
+close to the weights w0 it was built from: it rebuilds when
+max|w - w0| > ``_HESSIAN_DRIFT`` * max(w0), and always at a descent's
+first step. A reused U'DU makes the step a modified Newton step; P, the
+gradient, the Cholesky guard and the solve are still fresh at every
+iterate, and step-halving against the exact objective keeps the descent
+monotone. ``fit``'s ``df`` builds a fresh U'DU at the final coefficients.
+The linear predictor and the gradient stay on the untransposed [1, U]:
+BLAS sums a matrix-vector product in another order when the layout
+flips, so their bits would change. Results are identical bytes at 1 and 2 OpenBLAS threads (checked
 with OpenBLAS 0.3.31 only) for problems of at most 96 unknowns: 95 basis
 functions plus the intercept. Above that, the LAPACK LU solve's bits
 change with the thread count, and so do the Hessian's except at multiples
@@ -61,11 +67,19 @@ _STEP_HALVING_MAX = 20
 _DESCENT_SLACK = 1e-12
 _PIVOT_RATIO_LIMIT = 1e6
 _L1_NODES = 20
-# rows per block of the likelihood Hessian: with 34 columns, a 256-row
-# block takes about 27 us at 1 and at 2 OpenBLAS threads alike, while a
-# 500-row block takes 85 us at 2 threads against 39 us at 1 (OpenBLAS
-# 0.3.31 on a 2-core Xeon VM)
+# rows per block of the likelihood Hessian, built at a descent's first
+# step and when its weights drift: with 34 columns, a 256-row block takes
+# about 27 us at 1 and at 2 OpenBLAS threads alike, while a 500-row block
+# takes 85 us at 2 threads against 39 us at 1 (OpenBLAS 0.3.31 on a
+# 2-core Xeon VM)
 _HESSIAN_BLOCK_ROWS = 256
+# the descent rebuilds U'DU when a weight p(1-p) has moved by more than
+# this share of the largest weight it was built from. Against rebuilding
+# at every step, on 48 seeded one_null fits (N=1000, M=30, default grid),
+# 1e-2 moves b by at most 2.3e-5 of its largest entry and one fit's
+# iteration count by one; 1e-1 builds half as often but moves b by 1e-3
+# and changes 8 fits' null mask, convergence or iteration count
+_HESSIAN_DRIFT = 1e-2
 
 
 @dataclass
@@ -175,20 +189,19 @@ def _likelihood_hessian(p: np.ndarray, U_augT: np.ndarray) -> np.ndarray:
     return H
 
 
-def _newton_solve(theta: np.ndarray, p: np.ndarray, U_aug: np.ndarray,
-                  U_augT: np.ndarray, y: np.ndarray,
+def _newton_solve(theta: np.ndarray, p: np.ndarray, UDU: np.ndarray,
+                  U_aug: np.ndarray, y: np.ndarray,
                   P: np.ndarray) -> np.ndarray:
-    """The Newton step at theta, whose clamped probabilities are p, for
-    the intercept-augmented penalty matrix P, which it only reads;
-    ``U_augT`` is ``U_aug`` transposed and C-contiguous.
+    """The Newton step at theta, whose clamped probabilities are p, with
+    the likelihood Hessian UDU, built at p or at nearby weights, and the
+    intercept-augmented penalty matrix P; it only reads UDU and P.
 
     The system is solved directly unless H is near-singular; then a
     least-squares pseudo-solve gives the minimum-norm step, where a direct
     solve would add an arbitrary component along H's near-null space that
     step-halving cannot catch (the objective is flat, or nearly, along it).
     """
-    H = _likelihood_hessian(p, U_augT)
-    H += P
+    H = UDU + P
     if not np.isfinite(H).all():
         raise np.linalg.LinAlgError("non-finite Newton system")
     rhs = U_aug.T @ (y - p)
@@ -279,14 +292,21 @@ def _descend(theta, objective, config, trace=None):
     (theta, converged, iters).
 
     Each iterate is evaluated once: the probabilities of the accepted
-    candidate are those its Newton step is built from.
+    candidate are those its Newton step is built from. The likelihood
+    Hessian is rebuilt only when its weights drift (see the module
+    docstring).
     """
     U_aug, U_augT, y = objective.U_aug, objective.U_augT, objective.y
     obj, p = objective.evaluate(theta)
     if trace is not None:
         trace.append(obj)
+    w0 = None
     for it in range(1, config.max_iterations + 1):
-        step = _newton_solve(theta, p, U_aug, U_augT, y,
+        w = p * (1.0 - p)
+        if w0 is None or (np.abs(w - w0).max()
+                          > _HESSIAN_DRIFT * w0.max()):
+            UDU, w0 = _likelihood_hessian(p, U_augT), w
+        step = _newton_solve(theta, p, UDU, U_aug, y,
                              objective.newton_penalty(theta))
         scale, accepted = 1.0, False
         for _ in range(_STEP_HALVING_MAX + 1):

@@ -135,8 +135,9 @@ def test_gradient_and_hessian_match_finite_differences():
 
     def hess_and_grad(theta):
         p = objective.evaluate(theta)[1]
-        H = _likelihood_hessian(p, U_augT) + P
-        return H, -(H @ _newton_solve(theta, p, U_aug, U_augT, y, P))
+        UDU = _likelihood_hessian(p, U_augT)
+        H = UDU + P
+        return H, -(H @ _newton_solve(theta, p, UDU, U_aug, y, P))
 
     h = 1e-6
     for _ in range(50):
