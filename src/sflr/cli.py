@@ -21,8 +21,9 @@ from .metrics import classification_metrics, ise, pmse
 from .model import SflrModel, beta_hat, classify, null_regions, predict_proba
 from .simulate import (SCENARIOS, ScenarioSpec, add_observation_noise,
                        generate_predictors, generate_responses,
-                       interval_count_rule, scenario_alpha, true_beta)
-from .solver import SolverConfig, fit
+                       interval_count_rule, scenario_alpha, true_beta,
+                       true_probabilities)
+from .solver import THREAD_INVARIANT_UNKNOWNS, SolverConfig, fit
 from .tuning import TuningGrid, tune
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NOCONV = 0, 1, 2, 3
@@ -95,6 +96,8 @@ def _region_list(text: str) -> list[tuple[float, float]]:
                 f"bad interval {part!r}; expected start:end with "
                 "0 <= start <= end")
         out.append((a, b))
+    if not out:
+        raise argparse.ArgumentTypeError(f"no start:end interval in {text!r}")
     return out
 
 
@@ -162,6 +165,12 @@ def _check_flag_combinations(parser: _Parser, args) -> None:
     if getattr(args, "criterion", None) == "cv" and args.folds < 2:
         parser.error(f"--folds must be at least 2 for --criterion cv, "
                      f"got {args.folds}")
+    if args.command == "evaluate" and args.true_beta is None:
+        # both flags only describe the true curve that --true-beta names
+        for flag, value in (("--true-alpha", args.true_alpha),
+                            ("--null-regions", args.null_regions)):
+            if value is not None:
+                parser.error(f"{flag} needs --true-beta")
 
 
 def _labeled_basis(args):
@@ -175,9 +184,10 @@ def _labeled_basis(args):
     M = (interval_count_rule(data.n_points) if args.intervals == "auto"
          else args.intervals)
     unknowns = M + args.degree + 1  # the Newton system's size; see sflr.solver
-    if unknowns > 96:
-        print(f"note: {unknowns} unknowns exceed 96; results may differ in "
-              "their last bits between OpenBLAS thread counts", file=sys.stderr)
+    if unknowns > THREAD_INVARIANT_UNKNOWNS:
+        print(f"note: {unknowns} unknowns exceed {THREAD_INVARIANT_UNKNOWNS}; "
+              "results may differ in their last bits between OpenBLAS thread "
+              "counts", file=sys.stderr)
     return data, make_basis(float(data.grid[-1]), args.degree, M)
 
 
@@ -338,8 +348,7 @@ def _cmd_evaluate(args) -> int:
                             f"domain [0, {T:g}]")
         alpha = (_recorded_alpha(args.test) if args.true_alpha is None
                  else args.true_alpha)
-        _, p_true = generate_responses(test, beta, alpha, 0)
-        report.pmse = pmse(p_true, probs)
+        report.pmse = pmse(true_probabilities(test, beta, alpha), probs)
         if nulls:
             report.ise0, report.ise1 = ise(lambda t: beta_hat(model, t),
                                            beta, nulls, T)

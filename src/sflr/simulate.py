@@ -195,17 +195,18 @@ def _linear_predictor(X: FunctionalDataset, beta, alpha: float) -> np.ndarray:
     return alpha + X.values @ (trapezoid_weights(X.grid) * beta(X.grid))
 
 
+def true_probabilities(X: FunctionalDataset, beta, alpha: float) -> np.ndarray:
+    """The model's response probabilities for given curves: the sigmoid
+    of ``_linear_predictor``."""
+    return _sigmoid(_linear_predictor(X, beta, alpha))
+
+
 def generate_responses(X: FunctionalDataset, beta, alpha: float,
                        seed_or_rng) -> tuple[np.ndarray, np.ndarray]:
-    """Bernoulli labels and their true probabilities for given curves.
-
-    The integral of beta against each curve uses ``trapezoid_weights``,
-    the rule ``compute_U`` builds the design matrix with, keeping
-    generation and estimation consistent.
-    """
+    """Bernoulli labels and their ``true_probabilities`` for given curves."""
     rng = (seed_or_rng if isinstance(seed_or_rng, np.random.Generator)
            else np.random.default_rng(seed_or_rng))
-    p = _sigmoid(_linear_predictor(X, beta, alpha))
+    p = true_probabilities(X, beta, alpha)
     labels = (rng.random(p.size) < p).astype(np.int64)
     return labels, p
 
@@ -340,8 +341,8 @@ def run_replicate(spec: ScenarioSpec, grid: TuningGrid, config: SolverConfig,
         seen = posterior_mean_curves(
             spec.scenario, test_vals, ts,
             _observation_noise_sd(test_clean.values, spec.snr))
-        p_bayes = _sigmoid(_linear_predictor(FunctionalDataset(ts, seen),
-                                             beta, alpha))
+        p_bayes = true_probabilities(FunctionalDataset(ts, seen), beta,
+                                     alpha)
     oracle = classification_metrics(y_test, classify(p_bayes))
     ise0, ise1 = ise(lambda t: beta_hat(model, t), beta, designed_nulls, 1.0)
     return {

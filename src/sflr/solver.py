@@ -80,6 +80,8 @@ _HESSIAN_BLOCK_ROWS = 256
 # iteration count by one; 1e-1 builds half as often but moves b by 1e-3
 # and changes 8 fits' null mask, convergence or iteration count
 _HESSIAN_DRIFT = 1e-2
+# the most unknowns whose results are thread-count invariant (see above)
+THREAD_INVARIANT_UNKNOWNS = 96
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import BSplineBasis
 from .dataio import DataError
-from .design import DesignMatrices, FunctionalDataset, build_design
+from .design import FunctionalDataset, build_design
 from .solver import (FitResult, SolverConfig, _log_likelihood, clamped_probs,
                      fit, fit_initial)
 
@@ -52,15 +52,17 @@ def score_ic(fit_result: FitResult, N: int, criterion: str) -> float:
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int) -> list[np.ndarray]:
-    """Seeded stratified k-fold index sets (class proportions preserved)."""
+    """Seeded stratified k-fold index sets (class proportions preserved):
+    fold j holds every k-th curve of each class's shuffled order from the
+    j-th on."""
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    shuffled = []
     for cls in (0, 1):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
-        for pos, i in enumerate(idx):
-            folds[pos % k].append(int(i))
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+        shuffled.append(idx)
+    return [np.sort(np.concatenate([idx[j::k] for idx in shuffled]))
+            for j in range(k)]
 
 
 def _deviance(y: np.ndarray, p: np.ndarray) -> float:
@@ -68,42 +70,20 @@ def _deviance(y: np.ndarray, p: np.ndarray) -> float:
     return -2.0 * _log_likelihood(p, y) / y.size
 
 
-def _cv_score(splits, starts, basis: BSplineBasis, design: DesignMatrices,
-              config: SolverConfig) -> float:
-    """Mean held-out deviance over the folds; inf if a fold's fit fails.
-
-    ``splits`` holds each fold's (U_train, y_train, U_held_out,
-    y_held_out) and ``starts`` its initial fit for ``config.gamma``.
-    """
-    losses = []
-    for (U_t, y_t, U_v, y_v), start in zip(splits, starts):
-        res = fit(U_t, y_t, basis, design, config, initial=start)
-        if not res.converged:
-            return math.inf
-        p = clamped_probs(res.alpha + U_v @ res.b)
-        losses.append(_deviance(y_v, p))
-    return float(np.mean(losses))
-
-
-def _initial_fit(U: np.ndarray, y: np.ndarray, V: np.ndarray,
-                 config: SolverConfig):
-    """``fit_initial`` for ``config.gamma``, or None if it raises."""
-    try:
-        return fit_initial(U, y, V, config)
-    except (ValueError, np.linalg.LinAlgError):
-        return None
-
-
 def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
          config: SolverConfig) -> TuningResult:
     """Fit every grid pair and pick the score minimizer.
 
-    Ties break toward larger lambda, then larger gamma. Non-converged or
-    failing grid points score +inf instead of raising. The roughness-only
-    initial fit depends on gamma and the training rows alone, so it runs
-    once per gamma (per fold for CV) and starts the fit of every lambda.
-    CV with more folds than the larger class has curves is a DataError, as
-    some fold would hold out no curve.
+    One loop over training splits scores every pair: CV's stratified folds
+    by the mean deviance of the curves each holds out, and the one split of
+    BIC and AIC, which trains on every curve and holds none out, by the
+    ``score_ic`` of its fit, kept as ``best_fit``. A pair scores +inf at
+    its first split whose fit fails or does not converge. Ties break toward
+    larger lambda, then larger gamma. The roughness-only initial fit
+    depends on gamma and the training rows alone, so it runs once per gamma
+    and split and starts every lambda; if it fails on any split, every pair
+    of its gamma scores +inf. CV with more folds than the larger class has
+    curves is a DataError, as some fold would hold out no curve.
     """
     if data.labels is None:
         raise ValueError("tuning requires labeled data")
@@ -114,6 +94,7 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
     design = build_design(data, basis, config.m)
     U, y = design.U, labels.astype(np.float64)
     pairs = [(lam, gam) for lam in grid.lambdas for gam in grid.gammas]
+    # each split: (training U, training y, held-out (U, y) or None)
     if grid.criterion == "cv":
         folds = stratified_folds(labels, grid.folds, grid.seed)
         n_empty = sum(f.size == 0 for f in folds)
@@ -123,34 +104,40 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
                 f"held-out curves: the classes have {np.sum(labels == 0)} "
                 f"and {np.sum(labels == 1)} curves")
         splits = []
-        for val_idx in folds:
-            train_mask = np.ones(y.size, dtype=bool)
-            train_mask[val_idx] = False
-            splits.append((U[train_mask], y[train_mask], U[val_idx],
-                           y[val_idx]))
-    else:
-        splits = [(U, y)]
-    # a failed initial fit (None) scores every pair of its gamma inf
-    starts = {gam: [_initial_fit(split[0], split[1], design.V,
-                                 replace(config, gamma=gam))
-                    for split in splits]
-              for gam in dict.fromkeys(grid.gammas)}
+        for held_out in folds:
+            train = np.ones(y.size, dtype=bool)
+            train[held_out] = False
+            splits.append((U[train], y[train], (U[held_out], y[held_out])))
+    else:  # BIC and AIC: one split that trains on every curve
+        splits = [(U, y, None)]
+    starts = {}  # gamma -> one initial fit per split, or None if one failed
+    for gam in dict.fromkeys(grid.gammas):
+        try:
+            starts[gam] = [fit_initial(U_t, y_t, design.V,
+                                       replace(config, gamma=gam))
+                           for U_t, y_t, _ in splits]
+        except (ValueError, np.linalg.LinAlgError):
+            starts[gam] = None
 
     def evaluate(pair):
         lam, gam = pair
-        cfg = replace(config, lam=lam, gamma=gam)
-        if any(start is None for start in starts[gam]):
+        if starts[gam] is None:
             return math.inf, None
+        cfg = replace(config, lam=lam, gamma=gam)
+        losses = []
         try:
-            if grid.criterion == "cv":
-                return _cv_score(splits, starts[gam], basis, design,
-                                 cfg), None
-            res = fit(U, y, basis, design, cfg, initial=starts[gam][0])
-            if not res.converged:
-                return math.inf, res
-            return score_ic(res, data.n_samples, grid.criterion), res
+            for (U_t, y_t, held_out), start in zip(splits, starts[gam]):
+                res = fit(U_t, y_t, basis, design, cfg, initial=start)
+                if not res.converged:
+                    return math.inf, None
+                if held_out is None:
+                    return score_ic(res, data.n_samples, grid.criterion), res
+                U_v, y_v = held_out
+                p = clamped_probs(res.alpha + U_v @ res.b)
+                losses.append(_deviance(y_v, p))
         except (ValueError, np.linalg.LinAlgError):
             return math.inf, None
+        return float(np.mean(losses)), None
 
     # one worker: the fits are NumPy-bound, so more threads only lose
     # time; the pool stays because perfbench traces fits through it
@@ -162,9 +149,8 @@ def tune(data: FunctionalDataset, basis: BSplineBasis, grid: TuningGrid,
               "converged": bool(score != math.inf)}
              for (lam, gam), (score, _) in zip(pairs, results)]
 
-    order = sorted(range(len(pairs)),
-                   key=lambda i: (results[i][0], -pairs[i][0], -pairs[i][1]))
-    best = order[0]
+    best = min(range(len(pairs)),
+               key=lambda i: (results[i][0], -pairs[i][0], -pairs[i][1]))
     if results[best][0] == math.inf:
         raise RuntimeError("no tuning grid point converged")
     return TuningResult(best_lambda=pairs[best][0], best_gamma=pairs[best][1],

@@ -642,6 +642,25 @@ class TestExitCodes:
         assert "argument --true-alpha" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--null-regions", "0.3:0.7"], "--null-regions needs --true-beta"),
+        (["--true-alpha", "0.5"], "--true-alpha needs --true-beta"),
+        (["--true-beta", "one-null", "--null-regions", ""],
+         "argument --null-regions: no start:end interval in ''"),
+        (["--true-beta", "one-null", "--null-regions", " , "],
+         "argument --null-regions: no start:end interval in ' , '"),
+    ])
+    def test_ignored_true_curve_flag_is_1(self, sim_files, fitted, tmp_path,
+                                          capsys, flags, message):
+        # each flag describes the true curve: without one to describe, or
+        # with no interval listed, it would change nothing in the output
+        _, prefix = sim_files
+        out = tmp_path / "metrics.json"
+        assert _run(["evaluate", "--model", str(fitted), "--test",
+                     prefix + "_test.csv", *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text, message", [
         ("t,beta\n0.0,1.0\n0.5,abc\n1.0,0.0\n", "row 3, column 2"),
         ("t,beta\n0.0,1.0\n0.5\n1.0,0.0\n", "row 3: expected t and a value"),

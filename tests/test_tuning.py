@@ -76,6 +76,24 @@ class TestStratifiedFolds:
         for f in folds:
             assert abs(labels[f].mean() - global_prop) <= 1.0 / f.size + 1e-12
 
+    @pytest.mark.parametrize("n, k", [(200, 5), (37, 4), (9, 6), (1, 2)])
+    def test_matches_round_robin_reference(self, n, k):
+        # deal each class's shuffled curves to the folds in turn, one index
+        # at a time, as a reference for the sliced assignment
+        labels = (np.random.default_rng(n).random(n) < 0.3).astype(int)
+        rng = np.random.default_rng(11)
+        ref = [[] for _ in range(k)]
+        for cls in (0, 1):
+            idx = np.flatnonzero(labels == cls)
+            rng.shuffle(idx)
+            for pos, i in enumerate(idx):
+                ref[pos % k].append(int(i))
+        got = stratified_folds(labels, k, seed=11)
+        assert len(got) == k
+        for fold, want in zip(got, ref):
+            assert fold.dtype == np.int64
+            np.testing.assert_array_equal(fold, sorted(want))
+
     def test_seed_reproducible(self):
         labels = np.array([0, 1] * 30)
         a = stratified_folds(labels, 4, seed=11)
@@ -225,6 +243,29 @@ class TestTune:
                 losses.append(float(np.mean(
                     -2.0 * (yv * np.log(p) + (1 - yv) * np.log1p(-p)))))
             assert row["score"] == float(np.mean(losses))
+
+    @pytest.mark.parametrize("criterion", ["bic", "aic", "cv"])
+    def test_unconverged_pair_stops_at_its_first_split(self, setup,
+                                                       monkeypatch, criterion):
+        # one Newton iteration converges no fit: BIC and AIC fit each pair
+        # once on every curve, and CV fits each pair on its first fold only
+        data, basis, _ = setup
+        cfg = SolverConfig(m=2, max_iterations=1)
+        grid = TuningGrid(lambdas=(0.0, 1.0, 4.0), gammas=(1e-3, 1e-2),
+                          criterion=criterion, folds=4, seed=5)
+        calls = self._recording_fit(monkeypatch)
+        with pytest.raises(RuntimeError,
+                           match="^no tuning grid point converged$"):
+            tune(data, basis, grid, cfg)
+        assert [(args[4].lam, args[4].gamma) for args, _ in calls] == \
+            [(lam, gam) for lam in grid.lambdas for gam in grid.gammas]
+        assert not any(res.converged for _, res in calls)
+        train = np.ones(data.n_samples, dtype=bool)
+        if criterion == "cv":
+            train[stratified_folds(data.labels, 4, 5)[0]] = False
+        y = data.labels.astype(np.float64)
+        for args, _ in calls:
+            assert np.array_equal(args[1], y[train])
 
     @pytest.mark.parametrize("criterion, folds", [("bic", 5), ("aic", 5),
                                                   ("cv", 3)])
